@@ -38,7 +38,7 @@ class Formula:
     """
 
     __slots__ = ("kind", "var", "left", "right", "length", "mdepth",
-                 "tree_size", "vars", "positive", "shared")
+                 "tree_size", "vars", "positive")
 
     kind: str
     var: int
@@ -49,7 +49,6 @@ class Formula:
     tree_size: int
     vars: frozenset[int]
     positive: bool
-    shared: bool
 
     def __repr__(self) -> str:
         if self.length <= 40:
@@ -80,7 +79,6 @@ def _node(kind: str, var: int = 0, left: Formula | None = None,
     n.var = var
     n.left = left
     n.right = right
-    n.shared = False
     if kind == VAR:
         n.length = 1 + var.bit_length()
         n.mdepth = 0
@@ -309,25 +307,6 @@ def structurally_equal(a: Formula, b: Formula) -> bool:
         if x.right is not None:
             stack.append((x.right, y.right))
     return True
-
-
-def mark_shared(phi: Formula) -> Formula:
-    """Flag every subterm of ``phi`` as long-lived.
-
-    Evaluators may cache per-model results for flagged nodes across
-    queries; the flag is a hint only and never changes meaning.
-    """
-    stack = [_check(phi)]
-    while stack:
-        node = stack.pop()
-        if node.shared:
-            continue
-        node.shared = True
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
-    return phi
 
 
 def register_cache_clearer(fn) -> None:

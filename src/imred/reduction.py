@@ -39,7 +39,7 @@ from typing import Iterator
 from . import formula as fm
 from .formula import (And, Box, Diamond, Formula, Implies, Or, Var,
                       box_chain_le, diamond_chain_le, is_positive, length,
-                      mark_shared, replace_bottom, substitute, varset)
+                      replace_bottom, substitute, varset)
 
 LETTERS = ("A", "B")
 
@@ -168,7 +168,7 @@ def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Fo
     if level <= 1:
         table = _level01_table(base_var)
         for (let, lvl, idx), phi in table.items():
-            _family_memo.setdefault((let, lvl, idx, base_var), mark_shared(phi))
+            _family_memo.setdefault((let, lvl, idx, base_var), phi)
         return _family_memo[key]
     i, j = spiral_cell(index)
     first_a = family_formula("A", level - 1, 1, base_var)
@@ -180,7 +180,7 @@ def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Fo
     else:
         head, alt = first_b, first_a
     phi = Implies(head, Or(Or(alt, part_a), part_b))
-    return _family_memo.setdefault(key, mark_shared(phi))
+    return _family_memo.setdefault(key, phi)
 
 
 def _level01_table(base_var: int) -> dict[tuple[str, int, int], Formula]:

@@ -8,9 +8,19 @@ are partly avoided by construction: world ids respect the order, and
 point ids appear in first-use order; no general graph canonicalisation
 is attempted.
 
+The search evaluates candidates in lanes.  The valuations of one frame
+are cut into chunks of up to 64 in canonical order, and one pass over
+the compiled formula DAG evaluates a whole chunk under one relation
+assignment.  A truth mask holds bit ``pair_index * width + lane`` for
+every legal (world, point) pair and every lane, so & and | are one
+integer operation for the whole chunk, while ->, <> and [] combine
+shifted copies of their operand masks, one shift per index offset
+between a pair and the pairs it quantifies over.
+
 The search is sound for refutation only.  A returned certificate is
-re-validated and re-evaluated through an independent evaluator before
-being handed out; an exhausted result only means no countermodel exists
+re-validated and re-evaluated through an independent evaluator (the
+plain recursive one, or ``truth_table`` for large or deep formulas)
+before being handed out; an exhausted result only means no countermodel exists
 within the budget (including any candidate or time cap) and never
 claims validity.
 """
@@ -18,24 +28,30 @@ claims validity.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, subformulas, varset
+from .formula import AND, BOX, DIA, IMP, OR, VAR, Formula, subformulas, varset
 from .reduction import PositiveEmbedding, OneVarSubstitution, positive_embed, star
-from .semantics import (FS, KINDS, MIPC, FiniteFSModel, TableContext,
-                        bits_of, eval_formula, eval_formula_plain,
-                        iter_monotone_valuations, pair_space, supersets_asc,
-                        validate_model)
+from .semantics import (FS, KINDS, MIPC, FiniteFSModel, bits_of,
+                        eval_formula_plain, iter_monotone_valuations,
+                        monotone_assignments, pair_space, supersets_asc,
+                        truth_table, validate_model)
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
 
-# Certificates re-checked by the plain (non-memoized) evaluator when the
-# expanded tree is at most this big; anything larger would multiply under
-# nested implications, so the memoized evaluator is used instead.
+# Certificates are re-checked by the plain (non-memoized) evaluator when
+# the expanded tree is at most this big; anything larger would multiply
+# under nested implications, so truth_table is used instead.
 _PLAIN_RECHECK_LIMIT = 20_000
+
+# Valuations evaluated together in one pass over the formula DAG.
+_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -166,9 +182,11 @@ class _Frame:
     up: tuple[int, ...]
     delta: tuple[int, ...]
     spaces: tuple[int, ...]  # per-world full pair mask over delta
+    pairs: tuple[tuple[int, int], ...]  # legal (world, point) pairs, w-major
 
 
-def _frames(n_worlds: int, max_points: int) -> list[_Frame]:
+@functools.lru_cache(maxsize=32)
+def _frames(n_worlds: int, max_points: int) -> tuple[_Frame, ...]:
     frames = []
     for up in _posets(n_worlds):
         for delta, used in _delta_assignments(n_worlds, up, max_points):
@@ -177,9 +195,11 @@ def _frames(n_worlds: int, max_points: int) -> list[_Frame]:
                 n_worlds=n_worlds, n_points=n_points,
                 total_points=sum(m.bit_count() for m in delta), up=up,
                 delta=delta,
-                spaces=tuple(pair_space(m, n_points) for m in delta)))
+                spaces=tuple(pair_space(m, n_points) for m in delta),
+                pairs=tuple((w, x) for w in range(n_worlds)
+                            for x in bits_of(delta[w]))))
     frames.sort(key=lambda f: (f.total_points, f.up, f.delta))
-    return frames
+    return tuple(frames)
 
 
 def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:
@@ -205,22 +225,6 @@ def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:
     return go(0)
 
 
-def _stream(budget: SearchBudget, kind: str) -> Iterator[
-        tuple[_Frame, TableContext, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """All candidates in canonical order as (frame, ctx, srel, val) tuples."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    for n in range(1, budget.max_worlds + 1):
-        for frame in _frames(n, budget.max_points):
-            for srel in _srel_stream(frame, kind):
-                ctx = TableContext(frame.n_worlds, frame.n_points, frame.up,
-                                   frame.delta, srel)
-                for val in iter_monotone_valuations(
-                        frame.n_worlds, frame.up, frame.delta,
-                        budget.var_bound):
-                    yield frame, ctx, srel, val
-
-
 def _materialise(frame: _Frame, srel: tuple[int, ...],
                  val: tuple[tuple[int, ...], ...], kind: str,
                  var_bound: int) -> FiniteFSModel:
@@ -238,83 +242,176 @@ def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSM
     prefix can slice the stream.  Every yielded model is valid by
     construction.
     """
-    for frame, _ctx, srel, val in _stream(budget, kind):
-        yield _materialise(frame, srel, val, kind, budget.var_bound)
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    for n in range(1, budget.max_worlds + 1):
+        for frame in _frames(n, budget.max_points):
+            for srel in _srel_stream(frame, kind):
+                for val in iter_monotone_valuations(
+                        frame.n_worlds, frame.up, frame.delta,
+                        budget.var_bound):
+                    yield _materialise(frame, srel, val, kind, budget.var_bound)
 
 
-class _Compiled:
-    """Postorder array form of a formula DAG for the hot evaluation loop."""
+def _offsets(succ: list[list[int]], width: int) -> list[tuple[int, int, int]]:
+    """Successor lists grouped by index offset, as lane-mask shifts.
 
-    __slots__ = ("nodes", "kinds", "vars", "left", "right", "root")
+    ``succ[i]`` lists the pair indices that pair i quantifies over.  For
+    each offset d = j - i that occurs, returns (right shift, left shift,
+    selector): shifting an operand mask right, then left, moves pair
+    i + d's lanes onto pair i, and the selector covers the lanes of the
+    pairs i that have a successor at offset d.
+    """
+    full = (1 << width) - 1
+    groups: dict[int, int] = {}
+    for i, js in enumerate(succ):
+        for j in js:
+            groups[j - i] = groups.get(j - i, 0) | full << (i * width)
+    return [(d * width if d > 0 else 0, -d * width if d < 0 else 0, sel)
+            for d, sel in sorted(groups.items())]
 
-    def __init__(self, phi: Formula):
-        nodes = list(subformulas(phi))
-        position = {id(node): k for k, node in enumerate(nodes)}
-        self.nodes = nodes
-        self.kinds = [node.kind for node in nodes]
-        self.vars = [node.var for node in nodes]
-        self.left = [position[id(node.left)] if node.left is not None else -1
-                     for node in nodes]
-        self.right = [position[id(node.right)] if node.right is not None else -1
-                      for node in nodes]
-        self.root = position[id(phi)]
+
+class _Valuations(list):
+    """One frame's valuations in lane chunks, built as the search needs them.
+
+    A valuation is a tuple of indices into ``assignments``, the frame's
+    monotone one-variable assignments, one index per variable; their
+    canonical order is that of ``itertools.product``.  Item k is
+    (valuations, var_masks) for valuations k * width up to
+    (k + 1) * width - 1; var_masks[p] has bit i * width + lane set iff
+    variable p holds at frame pair i under the lane's valuation.
+    ``width`` is _LANES, or the frame's whole valuation count when that
+    is smaller.  ``imp`` lists (right shift, complement selector) for the
+    implication clause: pair (w, x) also quantifies over (v, x) for its
+    strict order-successors v.
+    """
+
+    def __init__(self, frame: _Frame, var_bound: int):
+        super().__init__()
+        self.assignments = monotone_assignments(frame.n_worlds, frame.up,
+                                                frame.delta)
+        count = len(self.assignments)
+        self.width = width = min(_LANES, count ** var_bound)
+        self.space = (1 << (len(frame.pairs) * width)) - 1
+        self.spread = [sum(1 << (i * width) for i, (w, x) in enumerate(frame.pairs)
+                           if (row[w] >> x) & 1) for row in self.assignments]
+        self.var_bound = var_bound
+        self.more = itertools.product(range(count), repeat=var_bound)
+        index = {pair: i for i, pair in enumerate(frame.pairs)}
+        succ = [[index[v, x] for v in bits_of(frame.up[w]) if v != w]
+                for w, x in frame.pairs]
+        self.imp = [(right, ~sel) for right, _, sel in _offsets(succ, width)]
+
+    def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+        k = 0
+        while True:
+            if k == len(self):
+                vals = list(itertools.islice(self.more, self.width))
+                if not vals:
+                    return
+                spread = self.spread
+                masks = [0] * (self.var_bound + 1)
+                for lane, val in enumerate(vals):
+                    for p, a in enumerate(val, 1):
+                        masks[p] |= spread[a] << lane
+                self.append((vals, masks))
+            yield self[k]
+            k += 1
+
+    def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.assignments[a] for a in val)
 
 
-def _masks_for(compiled: _Compiled, ctx: TableContext,
-               val: tuple[tuple[int, ...], ...],
-               cached: dict[Formula, int] | None) -> list[int]:
-    P = ctx.n_points
-    pairs = ctx.pairs
-    srow = ctx.srow
-    req = ctx.req
-    ups = ctx.ups
-    masks = [0] * len(compiled.nodes)
-    for k, kind in enumerate(compiled.kinds):
-        node = compiled.nodes[k]
-        if cached is not None and node.shared:
-            hit = cached.get(node)
-            if hit is not None:
-                masks[k] = hit
-                continue
-        if kind == VAR:
-            p = compiled.vars[k]
+def _modal_offsets(frame: _Frame, srel: tuple[int, ...],
+                   width: int) -> tuple[list, list]:
+    """Diamond selectors and box complement selectors of one relation.
+
+    Pair (w, x) looks at (w, y) for <> and at (v, y) for [], for every
+    order-successor v of w and every y related to x at that world.
+    """
+    P = frame.n_points
+    pmask = (1 << P) - 1
+    index = {pair: i for i, pair in enumerate(frame.pairs)}
+    dia = []
+    box = []
+    for w, x in frame.pairs:
+        dia.append([index[w, y] for y in bits_of((srel[w] >> (x * P)) & pmask)])
+        box.append([index[v, y] for v in bits_of(frame.up[w])
+                    for y in bits_of((srel[v] >> (x * P)) & pmask)])
+    return (_offsets(dia, width),
+            [(right, left, ~sel) for right, left, sel in _offsets(box, width)])
+
+
+def _passes(budget: SearchBudget, kind: str,
+            table_cache: dict | None) -> Iterator[tuple]:
+    """Every (frame, relation, valuation chunk) in canonical order.
+
+    Per-frame tables are kept for the whole search, in ``table_cache``
+    when given; per-relation tables only in ``table_cache``, since one
+    search meets each relation once.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    tables = {} if table_cache is None else table_cache
+    for n in range(1, budget.max_worlds + 1):
+        for frame in _frames(n, budget.max_points):
+            key = (frame.up, frame.delta, budget.var_bound)
+            vals = tables.get(key)
+            if vals is None:
+                vals = tables[key] = _Valuations(frame, budget.var_bound)
+            for srel in _srel_stream(frame, kind):
+                skey = (frame.up, frame.delta, srel, vals.width)
+                modal = None if table_cache is None else table_cache.get(skey)
+                if modal is None:
+                    modal = _modal_offsets(frame, srel, vals.width)
+                    if table_cache is not None:
+                        table_cache[skey] = modal
+                for chunk in vals.chunks():
+                    yield frame, srel, vals, modal, chunk
+
+
+def _compile(phi: Formula) -> list[tuple[str, int, int]]:
+    """Children-first instructions (kind, left or variable, right); the
+    root is last."""
+    nodes = list(subformulas(phi))
+    position = {id(node): k for k, node in enumerate(nodes)}
+    return [(node.kind, node.var, 0) if node.kind == VAR else
+            (node.kind, position.get(id(node.left), 0),
+             position.get(id(node.right), 0)) for node in nodes]
+
+
+def _evaluate(code: list[tuple[str, int, int]], var_masks: list[int],
+              space: int, imp: list, dia: list, box: list) -> int:
+    """Root truth mask of every lane of one chunk in one pass over the DAG."""
+    masks: list[int] = []
+    push = masks.append
+    imp_, or_, and_, var_, dia_, box_ = IMP, OR, AND, VAR, DIA, BOX
+    for kind, a, b in code:
+        if kind is imp_:
+            holds = ~masks[a] | masks[b]
+            mask = holds & space
+            for right, keep in imp:
+                mask &= (holds >> right) | keep
+        elif kind is or_:
+            mask = masks[a] | masks[b]
+        elif kind is and_:
+            mask = masks[a] & masks[b]
+        elif kind is var_:
+            mask = var_masks[a]
+        elif kind is dia_:
+            child = masks[a]
             mask = 0
-            if p <= len(val):
-                row = val[p - 1]
-                for w in range(ctx.n_worlds):
-                    mask |= row[w] << (w * P)
-        elif kind == BOT:
+            for right, left, sel in dia:
+                mask |= (child >> right << left) & sel
+        elif kind is box_:
+            child = masks[a]
+            mask = space
+            for right, left, keep in box:
+                mask &= (child >> right << left) | keep
+        else:  # false
             mask = 0
-        elif kind == AND:
-            mask = masks[compiled.left[k]] & masks[compiled.right[k]]
-        elif kind == OR:
-            mask = masks[compiled.left[k]] | masks[compiled.right[k]]
-        elif kind == IMP:
-            holds = ~masks[compiled.left[k]] | masks[compiled.right[k]]
-            mask = 0
-            for w, x in pairs:
-                need = req[w][x]
-                if holds & need == need:
-                    mask |= 1 << (w * P + x)
-        elif kind == DIA:
-            child = masks[compiled.left[k]]
-            mask = 0
-            for w, x in pairs:
-                if (child >> (w * P)) & srow[w][x]:
-                    mask |= 1 << (w * P + x)
-        else:
-            child = masks[compiled.left[k]]
-            mask = 0
-            for w, x in pairs:
-                for v in ups[w]:
-                    if srow[v][x] & ~(child >> (v * P)):
-                        break
-                else:
-                    mask |= 1 << (w * P + x)
-        masks[k] = mask
-        if cached is not None and node.shared:
-            cached[node] = mask
-    return masks
+        push(mask)
+    return masks[-1]
 
 
 def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> None:
@@ -323,14 +420,16 @@ def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> 
         raise RuntimeError(
             "enumerator produced an invalid model: "
             + "; ".join(str(v) for v in violations))
-    if phi.tree_size <= _PLAIN_RECHECK_LIMIT:
+    # The plain evaluator recurses at most two frames per nesting level,
+    # and nesting depth is at most the tree size.
+    if phi.tree_size <= min(_PLAIN_RECHECK_LIMIT, sys.getrecursionlimit() // 4):
         holds = eval_formula_plain(model, w, x, phi)
     else:
-        holds = eval_formula(model, w, x, phi)
+        holds = bool((truth_table(model, phi)[phi] >> (w * model.n_points + x)) & 1)
     if holds:
         raise RuntimeError(
-            "certificate failed the independent re-evaluation; the table "
-            "evaluator and the recursive evaluator disagree")
+            "certificate failed the independent re-evaluation; the lane "
+            "evaluator and the reference evaluator disagree")
 
 
 def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
@@ -343,10 +442,12 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     exhausted result carries statistics including whether a candidate or
     time cap stopped the search early.
 
-    ``table_cache`` may be shared between searches: per-model truth
-    masks of long-lived subterms (family formulas) are stored under the
-    model's canonical encoding, which makes repeated searches over
-    substituted outputs cheap.  Results never depend on the cache.
+    ``table_cache`` may be shared between searches, whatever their
+    formulas, budgets and kinds: it keeps the formula-independent tables
+    of every frame and relation met (valuation lane chunks and the
+    quantifier shift tables), keyed by frame shape, so later searches
+    over the same frames skip building them.  Every value supports
+    ``len()``.  Results never depend on the cache.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -357,48 +458,57 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
         env = os.environ.get(TIME_CAP_ENV)
         if env:
             time_cap = float(env)
-    compiled = _Compiled(phi)
-    if table_cache is not None and not any(n.shared for n in compiled.nodes):
-        table_cache = None  # nothing reusable in this formula
+    cap = budget.max_candidates
+    code = _compile(phi)
     started = time.perf_counter()
     tested = 0
-    frames_seen: set[tuple] = set()
+    frames = 0
+    last_frame = None
     stop = "exhausted"
-    for frame, ctx, srel, val in _stream(budget, kind):
-        if budget.max_candidates is not None and tested >= budget.max_candidates:
+    for frame, srel, vals, (dia, box), (chunk, var_masks) in _passes(
+            budget, kind, table_cache):
+        if cap is not None and tested >= cap:
             stop = "candidate-cap"
             break
-        if time_cap is not None and tested % 256 == 0 and \
+        if time_cap is not None and \
                 (time.perf_counter() - started) * 1000.0 > time_cap:
             stop = "time-cap"
             break
-        tested += 1
-        frames_seen.add((frame.up, frame.delta))
-        cached = None
-        if table_cache is not None:
-            key = (kind, frame.n_worlds, frame.up, frame.delta, srel, val)
-            cached = table_cache.setdefault(key, {})
-        masks = _masks_for(compiled, ctx, val, cached)
-        root = masks[compiled.root]
-        if root & ctx.space == ctx.space:
-            continue
-        missing = ctx.space & ~root
-        for w, x in ctx.pairs:
-            if (missing >> (w * ctx.n_points + x)) & 1:
+        if frame is not last_frame:
+            frames += 1
+            last_frame = frame
+        lanes = len(chunk) if cap is None else min(len(chunk), cap - tested)
+        failed = vals.space & ~_evaluate(code, var_masks, vals.space,
+                                         vals.imp, dia, box)
+        width = vals.width
+        missing = 0
+        for i in range(len(frame.pairs)):
+            missing |= failed >> (i * width)
+        missing &= (1 << lanes) - 1
+        if not missing:
+            tested += lanes
+            if lanes < len(chunk):
+                stop = "candidate-cap"
                 break
-        model = _materialise(frame, srel, val, kind, budget.var_bound)
+            continue
+        lane = (missing & -missing).bit_length() - 1
+        i = 0
+        while not (failed >> (i * width + lane)) & 1:
+            i += 1
+        w, x = frame.pairs[i]
+        model = _materialise(frame, srel, vals.valuation(chunk[lane]), kind,
+                             budget.var_bound)
         _recheck_certificate(model, w, x, phi)
         elapsed = (time.perf_counter() - started) * 1000.0
         return RefutationResult(
             countermodel=model, world=w, point=x,
-            stats=SearchStats(models_tested=tested,
-                              frames_tested=len(frames_seen),
-                              elapsed_ms=elapsed, stop="countermodel",
-                              budget=budget))
+            stats=SearchStats(models_tested=tested + lane + 1,
+                              frames_tested=frames, elapsed_ms=elapsed,
+                              stop="countermodel", budget=budget))
     elapsed = (time.perf_counter() - started) * 1000.0
     return RefutationResult(
         countermodel=None, world=None, point=None,
-        stats=SearchStats(models_tested=tested, frames_tested=len(frames_seen),
+        stats=SearchStats(models_tested=tested, frames_tested=frames,
                           elapsed_ms=elapsed, stop=stop, budget=budget))
 
 

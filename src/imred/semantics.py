@@ -13,15 +13,19 @@ valuation, false never holds, & and | are pointwise, a -> b quantifies
 over all order-successors of w at the same point, <> looks one relation
 step sideways inside w, and [] quantifies over order-successors and
 their relation steps.  Truth of a compound at a pair depends only on
-truth of its parts at pairs, so three interchangeable evaluators are
-provided: a memoized recursive one, a plain recursive one, and a
-bottom-up bitmask one that scales to formulas with huge expanded trees
-but small DAGs.
+truth of its parts at pairs, so three evaluators of one model are
+provided: a memoized recursive one (``eval_formula``), a plain
+recursive one kept as the independent reference (``eval_formula_plain``),
+and a bottom-up bitmask one (``truth_table``) that scales to formulas
+with huge expanded trees but small DAGs.  The countermodel search has
+its own evaluator, which checks many valuations at once (see
+``imred.search``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -357,8 +361,9 @@ def eval_formula_plain(model: FiniteFSModel, w: int, x: int, phi: Formula) -> bo
     """Reference evaluator without memoization.
 
     Cost follows the expanded tree (and multiplies under nested
-    implications), so this is only for small formulas; it exists to
-    cross-check the memoized and bitmask evaluators.
+    implications), and recursion depth follows the nesting depth, so
+    this is only for small formulas; it exists to cross-check the other
+    evaluators, including the search's, on certificates.
     """
     _require_point(model, w, x)
     return _eval_plain(model, w, x, phi)
@@ -500,46 +505,44 @@ def true_in_model(model: FiniteFSModel, phi: Formula,
     return tables[phi] & ctx.space == ctx.space
 
 
+def monotone_assignments(n_worlds: int, up: tuple[int, ...],
+                         delta: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All monotone valuations of one variable, ascending.
+
+    Each is a per-world bitmask of points, with V(w) inside delta[w] and
+    contained in V(v) for every order-successor v; ascending means
+    lexicographic with world 0 most significant.
+    """
+    out: list[tuple[int, ...]] = []
+    masks = [0] * n_worlds
+
+    def go(w: int) -> None:
+        if w == n_worlds:
+            out.append(tuple(masks))
+            return
+        lower = 0
+        for u in range(w):
+            if (up[u] >> w) & 1:
+                lower |= masks[u]
+        for m in supersets_asc(lower, delta[w]):
+            masks[w] = m
+            go(w + 1)
+        masks[w] = 0
+
+    go(0)
+    return out
+
+
 def iter_monotone_valuations(n_worlds: int, up: tuple[int, ...],
                              delta: tuple[int, ...],
                              var_bound: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All monotone valuations of ``var_bound`` variables, ascending.
 
-    Yields one tuple per valuation: per variable, a per-world bitmask of
-    points, with V(w, p) inside delta[w] and contained in V(v, p) for
-    every order-successor v.  Order is lexicographic, variable-major.
+    Yields one tuple per valuation: per variable, one assignment of
+    :func:`monotone_assignments`.  Order is lexicographic, variable-major.
     """
-
-    def one_var() -> Iterator[tuple[int, ...]]:
-        masks = [0] * n_worlds
-
-        def go(w: int) -> Iterator[tuple[int, ...]]:
-            if w == n_worlds:
-                yield tuple(masks)
-                return
-            lower = 0
-            for u in range(w):
-                if (up[u] >> w) & 1:
-                    lower |= masks[u]
-            for m in supersets_asc(lower, delta[w]):
-                masks[w] = m
-                yield from go(w + 1)
-            masks[w] = 0
-
-        return go(0)
-
-    chosen: list[tuple[int, ...]] = []
-
-    def per_var(p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if p == var_bound:
-            yield tuple(chosen)
-            return
-        for assignment in one_var():
-            chosen.append(assignment)
-            yield from per_var(p + 1)
-            chosen.pop()
-
-    return per_var(0)
+    return itertools.product(monotone_assignments(n_worlds, up, delta),
+                             repeat=var_bound)
 
 
 class ValuationBudgetError(Exception):
@@ -559,17 +562,13 @@ def valid_on_frame(model: FiniteFSModel, phi: Formula, var_bound: int,
     if top > var_bound:
         raise ValueError(
             f"formula uses p{top} but the variable bound is {var_bound}")
-    count = 0
-    for _ in iter_monotone_valuations(model.n_worlds, model.up, model.delta,
-                                      var_bound):
-        count += 1
-        if count > max_valuations:
-            raise ValuationBudgetError(
-                f"frame admits more than {max_valuations} valuations of "
-                f"{var_bound} variables")
+    assignments = monotone_assignments(model.n_worlds, model.up, model.delta)
+    if len(assignments) ** var_bound > max_valuations:
+        raise ValuationBudgetError(
+            f"frame admits more than {max_valuations} valuations of "
+            f"{var_bound} variables")
     ctx = TableContext.for_model(model)
-    for val in iter_monotone_valuations(model.n_worlds, model.up, model.delta,
-                                        var_bound):
+    for val in itertools.product(assignments, repeat=var_bound):
         candidate = dataclasses.replace(model, nvars=var_bound, val=val)
         if not true_in_model(candidate, phi, ctx):
             return False

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from imred.corpus import refutable_corpus
-from imred.formula import Implies, Var, varset
+from imred.corpus import random_formula, refutable_corpus
+from imred.formula import BOTTOM, Box, Implies, Var, varset
 from imred.reduction import positive_embed, star
 from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
@@ -11,7 +12,7 @@ from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           find_countermodel)
 from imred.semantics import (FS, MIPC, eval_formula_plain, true_in_model,
                              validate_model)
-from imred.syntax import parse_formula
+from imred.syntax import parse_formula, print_formula
 
 
 def canonical_key(model):
@@ -223,3 +224,91 @@ def test_refutable_corpus_is_deterministic_and_refutable():
     assert first == second
     for phi in first:
         assert find_countermodel(phi, budget, FS).refuted
+
+
+def reference_search(phi, budget, kind):
+    """First falsifying model of the plain enumeration, checked pair by pair
+    with the plain evaluator; returns the fields a search reports."""
+    cap = budget.max_candidates
+    frames = set()
+    tested = 0
+    for model in enumerate_models(budget, kind):
+        if cap is not None and tested >= cap:
+            return tested, len(frames), "candidate-cap", None, None, None
+        tested += 1
+        frames.add((model.up, model.delta))
+        for w, x in model.pairs():
+            if not eval_formula_plain(model, w, x, phi):
+                return (tested, len(frames), "countermodel", w, x,
+                        model.encoding())
+    return tested, len(frames), "exhausted", None, None, None
+
+
+def reported(result):
+    st = result.stats
+    return (st.models_tested, st.frames_tested, st.stop, result.world,
+            result.point,
+            result.countermodel.encoding() if result.refuted else None)
+
+
+# First refuted after the first lane chunk: FS candidates 109 and 102.
+LATE_REFUTATIONS = ("[](p2 | p1 | []p2 | ([]p1 -> p1))",
+                    "p1 | (p1 -> <>(p1 -> p1))")
+
+
+@pytest.mark.parametrize("kind", [FS, MIPC])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1)])
+def test_lane_search_matches_naive_reference(kind, shape):
+    rng = random.Random(f"lanes:{kind}:{shape}")
+    formulas = [random_formula(rng, max_depth=3, n_vars=shape[2])
+                for _ in range(10)]
+    formulas += [phi for phi in map(parse_formula, LATE_REFUTATIONS)
+                 if max(varset(phi)) <= shape[2]]
+    for phi in formulas:
+        for cap in (1, 63, 65, 130):
+            budget = SearchBudget(*shape, max_candidates=cap)
+            assert reported(find_countermodel(phi, budget, kind)) == \
+                reference_search(phi, budget, kind), (print_formula(phi), cap)
+
+
+@pytest.mark.parametrize("shape,kind", [((1, 2, 1), FS), ((2, 1, 2), FS),
+                                        ((2, 2, 1), MIPC)])
+def test_cap_equal_to_stream_length_reports_exhausted(shape, kind):
+    phi = parse_formula("p1 -> p1")
+    length = sum(1 for _ in enumerate_models(SearchBudget(*shape), kind))
+    exact = find_countermodel(
+        phi, SearchBudget(*shape, max_candidates=length), kind)
+    assert (exact.stats.stop, exact.stats.models_tested) == ("exhausted", length)
+    short = find_countermodel(
+        phi, SearchBudget(*shape, max_candidates=length - 1), kind)
+    assert (short.stats.stop, short.stats.models_tested) == \
+        ("candidate-cap", length - 1)
+
+
+def test_shared_table_cache_matches_cold_searches():
+    rng = random.Random(17)
+    cache = {}
+    runs = []
+    for shape in ((2, 2, 2), (3, 2, 1), (2, 2, 1)):
+        for kind in (FS, MIPC):
+            for _ in range(4):
+                phi = random_formula(rng, max_depth=3, n_vars=shape[2])
+                runs.append((phi, SearchBudget(*shape, max_candidates=300), kind))
+    out = star(positive_embed(parse_formula("<>p1 -> []p1")).positive_form).result
+    runs.append((out, SearchBudget(2, 2, 1, max_candidates=800), FS))
+    for phi, budget, kind in runs + runs[::-1]:
+        warm = find_countermodel(phi, budget, kind, table_cache=cache)
+        assert reported(warm) == reported(find_countermodel(phi, budget, kind))
+    assert all(len(value) for value in cache.values())
+
+
+@pytest.mark.parametrize("depth", [1_500, 30_000])
+def test_deep_certificate_is_rechecked_without_recursion(depth):
+    deep = BOTTOM
+    for _ in range(depth):
+        deep = Box(deep)
+    result = find_countermodel(Implies(Var(1), deep), SearchBudget(1, 1, 1), FS)
+    assert result.refuted
+    assert (result.world, result.point) == (0, 0)
+    assert result.countermodel.srel == (1,)
+    assert result.stats.models_tested == 4
