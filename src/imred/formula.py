@@ -174,29 +174,25 @@ def is_positive(phi: Formula) -> bool:
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All distinct subterms of ``phi`` in bottom-up (children-first) order."""
-    seen: set[int] = set()
-    order: list[Formula] = []
-    stack = [_check(phi)]
-    while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
-            if not order or order[-1] is not node:
-                order.append(node)
-            continue
-        seen.add(id(node))
-        if node.right is not None and id(node.right) not in seen:
-            stack.append(node.right)
-        if node.left is not None and id(node.left) not in seen:
-            stack.append(node.left)
-    # Deduplicate while preserving the first completion order.
+    """All distinct subterms of ``phi`` in bottom-up (children-first) order.
+
+    Each node comes once, as soon as its last child is done, left
+    subtrees before right ones; ``phi`` itself comes last.
+    """
+    done: set[int] = set()
     out: list[Formula] = []
-    emitted: set[int] = set()
-    for node in order:
-        if id(node) not in emitted:
-            emitted.add(id(node))
+    stack = [(_check(phi), False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            done.add(id(node))
             out.append(node)
+        elif id(node) not in done:
+            stack.append((node, True))
+            if node.right is not None and id(node.right) not in done:
+                stack.append((node.right, False))
+            if node.left is not None and id(node.left) not in done:
+                stack.append((node.left, False))
     return iter(out)
 
 

@@ -9,20 +9,19 @@ point ids appear in first-use order; no general graph canonicalisation
 is attempted.
 
 The search evaluates candidates in lanes.  The valuations of one frame
-are cut into chunks of up to 64 in canonical order, and one pass over
-the compiled formula DAG evaluates a whole chunk under one relation
-assignment.  A truth mask holds bit ``pair_index * width + lane`` for
-every legal (world, point) pair and every lane, so & and | are one
-integer operation for the whole chunk, while ->, <> and [] combine
-shifted copies of their operand masks, one shift per index offset
-between a pair and the pairs it quantifies over.
+are cut into chunks of up to 64 in canonical order, and one pass of the
+bitmask evaluator of ``imred.semantics`` over the compiled formula DAG
+evaluates a whole chunk under one relation assignment.  A truth mask
+holds bit ``pair_index * width + lane`` for every legal (world, point)
+pair and every lane, so & and | are one integer operation for the whole
+chunk, while ->, <> and [] combine shifted copies of their operand
+masks, from one -> table per frame and one <> table per relation.
 
 The search is sound for refutation only.  A returned certificate is
-re-validated and re-evaluated through an independent evaluator (the
-plain recursive one, or ``truth_table`` for large or deep formulas)
-before being handed out; an exhausted result only means no countermodel exists
-within the budget (including any candidate or time cap) and never
-claims validity.
+re-validated and re-evaluated at its (world, point) by the independent
+pointwise reference ``eval_formula_plain`` before being handed out; an
+exhausted result only means no countermodel exists within the budget
+(including any candidate or time cap) and never claims validity.
 """
 
 from __future__ import annotations
@@ -31,24 +30,18 @@ import dataclasses
 import functools
 import itertools
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import AND, BOX, DIA, IMP, OR, VAR, Formula, subformulas, varset
+from .formula import Formula, varset
 from .reduction import PositiveEmbedding, OneVarSubstitution, positive_embed, star
-from .semantics import (FS, KINDS, MIPC, FiniteFSModel, bits_of,
-                        eval_formula_plain, iter_monotone_valuations,
-                        monotone_assignments, pair_space, supersets_asc,
-                        truth_table, validate_model)
+from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
+                        _moves, bits_of, eval_formula_plain,
+                        iter_monotone_valuations, monotone_assignments,
+                        pair_space, supersets_asc, validate_model)
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
-
-# Certificates are re-checked by the plain (non-memoized) evaluator when
-# the expanded tree is at most this big; anything larger would multiply
-# under nested implications, so truth_table is used instead.
-_PLAIN_RECHECK_LIMIT = 20_000
 
 # Valuations evaluated together in one pass over the formula DAG.
 _LANES = 64
@@ -253,24 +246,6 @@ def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSM
                     yield _materialise(frame, srel, val, kind, budget.var_bound)
 
 
-def _offsets(succ: list[list[int]], width: int) -> list[tuple[int, int, int]]:
-    """Successor lists grouped by index offset, as lane-mask shifts.
-
-    ``succ[i]`` lists the pair indices that pair i quantifies over.  For
-    each offset d = j - i that occurs, returns (right shift, left shift,
-    selector): shifting an operand mask right, then left, moves pair
-    i + d's lanes onto pair i, and the selector covers the lanes of the
-    pairs i that have a successor at offset d.
-    """
-    full = (1 << width) - 1
-    groups: dict[int, int] = {}
-    for i, js in enumerate(succ):
-        for j in js:
-            groups[j - i] = groups.get(j - i, 0) | full << (i * width)
-    return [(d * width if d > 0 else 0, -d * width if d < 0 else 0, sel)
-            for d, sel in sorted(groups.items())]
-
-
 class _Valuations(list):
     """One frame's valuations in lane chunks, built as the search needs them.
 
@@ -281,9 +256,10 @@ class _Valuations(list):
     (k + 1) * width - 1; var_masks[p] has bit i * width + lane set iff
     variable p holds at frame pair i under the lane's valuation.
     ``width`` is _LANES, or the frame's whole valuation count when that
-    is smaller.  ``imp`` lists (right shift, complement selector) for the
-    implication clause: pair (w, x) also quantifies over (v, x) for its
-    strict order-successors v.
+    is smaller.  ``imp`` holds the evaluator's implication moves: pair
+    (w, x) also quantifies over (v, x) for its strict order-successors v.
+    ``relations`` keeps the diamond moves of the relations met, when the
+    caller keeps tables across searches.
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
@@ -297,10 +273,12 @@ class _Valuations(list):
                            if (row[w] >> x) & 1) for row in self.assignments]
         self.var_bound = var_bound
         self.more = itertools.product(range(count), repeat=var_bound)
-        index = {pair: i for i, pair in enumerate(frame.pairs)}
-        succ = [[index[v, x] for v in bits_of(frame.up[w]) if v != w]
-                for w, x in frame.pairs]
-        self.imp = [(right, ~sel) for right, _, sel in _offsets(succ, width)]
+        self.frame = frame
+        self.index = index = {pair: i for i, pair in enumerate(frame.pairs)}
+        self.imp = _moves(((i, index[v, x])
+                           for i, (w, x) in enumerate(frame.pairs)
+                           for v in bits_of(frame.up[w]) if v != w), width)
+        self.relations: dict[tuple[int, ...], list] = {}
 
     def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
         k = 0
@@ -321,25 +299,20 @@ class _Valuations(list):
     def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.assignments[a] for a in val)
 
-
-def _modal_offsets(frame: _Frame, srel: tuple[int, ...],
-                   width: int) -> tuple[list, list]:
-    """Diamond selectors and box complement selectors of one relation.
-
-    Pair (w, x) looks at (w, y) for <> and at (v, y) for [], for every
-    order-successor v of w and every y related to x at that world.
-    """
-    P = frame.n_points
-    pmask = (1 << P) - 1
-    index = {pair: i for i, pair in enumerate(frame.pairs)}
-    dia = []
-    box = []
-    for w, x in frame.pairs:
-        dia.append([index[w, y] for y in bits_of((srel[w] >> (x * P)) & pmask)])
-        box.append([index[v, y] for v in bits_of(frame.up[w])
-                    for y in bits_of((srel[v] >> (x * P)) & pmask)])
-    return (_offsets(dia, width),
-            [(right, left, ~sel) for right, left, sel in _offsets(box, width)])
+    def dia(self, srel: tuple[int, ...], keep: bool) -> list[tuple[int, int, int]]:
+        """The evaluator's diamond moves under one relation: pair (w, x)
+        looks at (w, y) for every y related to x at w."""
+        moves = self.relations.get(srel)
+        if moves is None:
+            P = self.frame.n_points
+            pmask = (1 << P) - 1
+            moves = _moves(((i, self.index[w, y])
+                            for i, (w, x) in enumerate(self.frame.pairs)
+                            for y in bits_of((srel[w] >> (x * P)) & pmask)),
+                           self.width)
+            if keep:
+                self.relations[srel] = moves
+        return moves
 
 
 def _passes(budget: SearchBudget, kind: str,
@@ -347,8 +320,8 @@ def _passes(budget: SearchBudget, kind: str,
     """Every (frame, relation, valuation chunk) in canonical order.
 
     Per-frame tables are kept for the whole search, in ``table_cache``
-    when given; per-relation tables only in ``table_cache``, since one
-    search meets each relation once.
+    when given; per-relation tables only when ``table_cache`` is given,
+    since one search meets each relation once.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -360,58 +333,9 @@ def _passes(budget: SearchBudget, kind: str,
             if vals is None:
                 vals = tables[key] = _Valuations(frame, budget.var_bound)
             for srel in _srel_stream(frame, kind):
-                skey = (frame.up, frame.delta, srel, vals.width)
-                modal = None if table_cache is None else table_cache.get(skey)
-                if modal is None:
-                    modal = _modal_offsets(frame, srel, vals.width)
-                    if table_cache is not None:
-                        table_cache[skey] = modal
+                dia = vals.dia(srel, keep=table_cache is not None)
                 for chunk in vals.chunks():
-                    yield frame, srel, vals, modal, chunk
-
-
-def _compile(phi: Formula) -> list[tuple[str, int, int]]:
-    """Children-first instructions (kind, left or variable, right); the
-    root is last."""
-    nodes = list(subformulas(phi))
-    position = {id(node): k for k, node in enumerate(nodes)}
-    return [(node.kind, node.var, 0) if node.kind == VAR else
-            (node.kind, position.get(id(node.left), 0),
-             position.get(id(node.right), 0)) for node in nodes]
-
-
-def _evaluate(code: list[tuple[str, int, int]], var_masks: list[int],
-              space: int, imp: list, dia: list, box: list) -> int:
-    """Root truth mask of every lane of one chunk in one pass over the DAG."""
-    masks: list[int] = []
-    push = masks.append
-    imp_, or_, and_, var_, dia_, box_ = IMP, OR, AND, VAR, DIA, BOX
-    for kind, a, b in code:
-        if kind is imp_:
-            holds = ~masks[a] | masks[b]
-            mask = holds & space
-            for right, keep in imp:
-                mask &= (holds >> right) | keep
-        elif kind is or_:
-            mask = masks[a] | masks[b]
-        elif kind is and_:
-            mask = masks[a] & masks[b]
-        elif kind is var_:
-            mask = var_masks[a]
-        elif kind is dia_:
-            child = masks[a]
-            mask = 0
-            for right, left, sel in dia:
-                mask |= (child >> right << left) & sel
-        elif kind is box_:
-            child = masks[a]
-            mask = space
-            for right, left, keep in box:
-                mask &= (child >> right << left) | keep
-        else:  # false
-            mask = 0
-        push(mask)
-    return masks[-1]
+                    yield frame, srel, vals, dia, chunk
 
 
 def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> None:
@@ -420,13 +344,7 @@ def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> 
         raise RuntimeError(
             "enumerator produced an invalid model: "
             + "; ".join(str(v) for v in violations))
-    # The plain evaluator recurses at most two frames per nesting level,
-    # and nesting depth is at most the tree size.
-    if phi.tree_size <= min(_PLAIN_RECHECK_LIMIT, sys.getrecursionlimit() // 4):
-        holds = eval_formula_plain(model, w, x, phi)
-    else:
-        holds = bool((truth_table(model, phi)[phi] >> (w * model.n_points + x)) & 1)
-    if holds:
+    if eval_formula_plain(model, w, x, phi):
         raise RuntimeError(
             "certificate failed the independent re-evaluation; the lane "
             "evaluator and the reference evaluator disagree")
@@ -444,10 +362,10 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
 
     ``table_cache`` may be shared between searches, whatever their
     formulas, budgets and kinds: it keeps the formula-independent tables
-    of every frame and relation met (valuation lane chunks and the
-    quantifier shift tables), keyed by frame shape, so later searches
-    over the same frames skip building them.  Every value supports
-    ``len()``.  Results never depend on the cache.
+    of every frame and relation met (valuation lane chunks with the
+    frame's -> moves, and each relation's <> moves), keyed by frame
+    shape, so later searches over the same frames skip building them.
+    Every value supports ``len()``.  Results never depend on the cache.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -459,13 +377,13 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
         if env:
             time_cap = float(env)
     cap = budget.max_candidates
-    code = _compile(phi)
+    code = _compile(phi)[1]
     started = time.perf_counter()
     tested = 0
     frames = 0
     last_frame = None
     stop = "exhausted"
-    for frame, srel, vals, (dia, box), (chunk, var_masks) in _passes(
+    for frame, srel, vals, dia, (chunk, var_masks) in _passes(
             budget, kind, table_cache):
         if cap is not None and tested >= cap:
             stop = "candidate-cap"
@@ -479,7 +397,7 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
             last_frame = frame
         lanes = len(chunk) if cap is None else min(len(chunk), cap - tested)
         failed = vals.space & ~_evaluate(code, var_masks, vals.space,
-                                         vals.imp, dia, box)
+                                         vals.imp, dia)[-1]
         width = vals.width
         missing = 0
         for i in range(len(frame.pairs)):

@@ -13,13 +13,18 @@ valuation, false never holds, & and | are pointwise, a -> b quantifies
 over all order-successors of w at the same point, <> looks one relation
 step sideways inside w, and [] quantifies over order-successors and
 their relation steps.  Truth of a compound at a pair depends only on
-truth of its parts at pairs, so three evaluators of one model are
-provided: a memoized recursive one (``eval_formula``), a plain
-recursive one kept as the independent reference (``eval_formula_plain``),
-and a bottom-up bitmask one (``truth_table``) that scales to formulas
-with huge expanded trees but small DAGs.  The countermodel search has
-its own evaluator, which checks many valuations at once (see
-``imred.search``).
+truth of its parts at pairs, so one bitmask evaluator serves every
+caller: it compiles the formula DAG children-first and computes one
+mask per subterm, with & and | as one integer operation and ->, <> and
+[] as shifted copies of operand masks, one shift per offset between a
+pair and the pairs it quantifies over.  [] reuses the -> and <> moves:
+[]a fails at (w, x) exactly when <> of a's complement holds at (v, x)
+for some v >= w.  ``truth_table`` runs it with one lane per pair (bit
+w * P + x); the countermodel search runs it with up to 64 valuations
+per pair (see ``imred.search``); ``eval_formula`` reads one bit of a
+``truth_table`` mask.  ``eval_formula_plain`` is the independent
+reference: it follows the clauses pointwise and shares no code with
+the masks.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Generator, Iterable, Iterator, Mapping
 
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, subformulas,
                       varset)
@@ -35,8 +40,6 @@ from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, subformulas,
 FS = "fs"
 MIPC = "mipc"
 KINDS = (FS, MIPC)
-
-_MISS = object()
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -304,101 +307,170 @@ def _require_point(model: FiniteFSModel, w: int, x: int) -> None:
 
 def eval_formula(model: FiniteFSModel, w: int, x: int, phi: Formula,
                  memo: dict | None = None) -> bool:
-    """Truth of ``phi`` at world ``w``, point ``x``; memoized per subterm.
+    """Truth of ``phi`` at world ``w``, point ``x``, read off its truth mask.
 
-    The memo is keyed by (subterm, world, point), so evaluation cost is
-    bounded by DAG size times pair count even for heavily shared terms.
-    A memo dict may be passed in to share work across queries on the
-    same model.
+    The root mask comes from :func:`truth_table`; a memo dict passed in
+    keeps it per formula, so further queries on the same model skip the
+    evaluation.
     """
     _require_point(model, w, x)
-    if memo is None:
-        memo = {}
-    return _eval_memo(model, w, x, phi, memo)
-
-
-def _eval_memo(m: FiniteFSModel, w: int, x: int, phi: Formula, memo: dict) -> bool:
-    key = (id(phi), w, x)
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
-    kind = phi.kind
-    if kind == VAR:
-        res = bool((m.value_mask(phi.var, w) >> x) & 1)
-    elif kind == BOT:
-        res = False
-    elif kind == AND:
-        res = _eval_memo(m, w, x, phi.left, memo) and _eval_memo(m, w, x, phi.right, memo)
-    elif kind == OR:
-        res = _eval_memo(m, w, x, phi.left, memo) or _eval_memo(m, w, x, phi.right, memo)
-    elif kind == IMP:
-        res = True
-        for v in bits_of(m.up[w]):
-            if _eval_memo(m, v, x, phi.left, memo) and \
-                    not _eval_memo(m, v, x, phi.right, memo):
-                res = False
-                break
-    elif kind == DIA:
-        res = False
-        for y in bits_of(m.succ(w, x)):
-            if _eval_memo(m, w, y, phi.left, memo):
-                res = True
-                break
-    else:
-        res = True
-        for v in bits_of(m.up[w]):
-            for y in bits_of(m.succ(v, x)):
-                if not _eval_memo(m, v, y, phi.left, memo):
-                    res = False
-                    break
-            if not res:
-                break
-    memo[key] = res
-    return res
+    mask = None if memo is None else memo.get(phi)
+    if mask is None:
+        mask = truth_table(model, phi)[phi]
+        if memo is not None:
+            memo[phi] = mask
+    return bool((mask >> (w * model.n_points + x)) & 1)
 
 
 def eval_formula_plain(model: FiniteFSModel, w: int, x: int, phi: Formula) -> bool:
-    """Reference evaluator without memoization.
+    """Reference evaluator: the truth clauses read pointwise.
 
-    Cost follows the expanded tree (and multiplies under nested
-    implications), and recursion depth follows the nesting depth, so
-    this is only for small formulas; it exists to cross-check the other
-    evaluators, including the search's, on certificates.
+    Independent of the bitmask evaluator, it follows the clauses over
+    ``up``, ``succ`` and the valuation one (subterm, world, point) goal
+    at a time, stops a quantifier at its first witness, and memoizes
+    every goal, so cost is at most DAG size times pair count times the
+    quantifier fan-out.  A goal waits for its subgoals on an explicit
+    stack, so nesting depth is not bounded by Python recursion.
     """
     _require_point(model, w, x)
-    return _eval_plain(model, w, x, phi)
+    memo: dict[tuple[Formula, int, int], bool] = {}
+    goal = (phi, w, x)
+    stack = [(goal, _clause(model, *goal))]
+    value = None
+    while stack:
+        goal, clause = stack[-1]
+        try:
+            sub = clause.send(value)
+        except StopIteration as done:
+            value = memo[goal] = done.value
+            stack.pop()
+            continue
+        value = memo.get(sub)
+        if value is None:
+            stack.append((sub, _clause(model, *sub)))
+    return value
 
 
-def _eval_plain(m: FiniteFSModel, w: int, x: int, phi: Formula) -> bool:
+def _clause(m: FiniteFSModel, phi: Formula, w: int,
+            x: int) -> Generator[tuple[Formula, int, int], bool, bool]:
+    """Truth of ``phi`` at (w, x) by its clause; yields each (subterm,
+    world, point) goal it reads and is sent that goal's truth."""
     kind = phi.kind
     if kind == VAR:
         return bool((m.value_mask(phi.var, w) >> x) & 1)
     if kind == BOT:
         return False
     if kind == AND:
-        return _eval_plain(m, w, x, phi.left) and _eval_plain(m, w, x, phi.right)
+        return (yield phi.left, w, x) and (yield phi.right, w, x)
     if kind == OR:
-        return _eval_plain(m, w, x, phi.left) or _eval_plain(m, w, x, phi.right)
+        return (yield phi.left, w, x) or (yield phi.right, w, x)
     if kind == IMP:
-        return all(not _eval_plain(m, v, x, phi.left) or _eval_plain(m, v, x, phi.right)
-                   for v in bits_of(m.up[w]))
+        for v in bits_of(m.up[w]):
+            if (yield phi.left, v, x) and not (yield phi.right, v, x):
+                return False
+        return True
     if kind == DIA:
-        return any(_eval_plain(m, w, y, phi.left) for y in bits_of(m.succ(w, x)))
-    return all(_eval_plain(m, v, y, phi.left)
-               for v in bits_of(m.up[w]) for y in bits_of(m.succ(v, x)))
+        for y in bits_of(m.succ(w, x)):
+            if (yield phi.left, w, y):
+                return True
+        return False
+    for v in bits_of(m.up[w]):
+        for y in bits_of(m.succ(v, x)):
+            if not (yield phi.left, v, y):
+                return False
+    return True
+
+
+def _compile(phi: Formula) -> tuple[list[Formula], list[tuple[str, int, int]]]:
+    """The distinct subterms of ``phi``, children-first with the root
+    last, and one instruction (kind, left position or variable index,
+    right position) per subterm."""
+    nodes = list(subformulas(phi))
+    position = {id(node): k for k, node in enumerate(nodes)}
+    return nodes, [(node.kind, node.var, 0) if node.kind == VAR else
+                   (node.kind, position.get(id(node.left), 0),
+                    position.get(id(node.right), 0)) for node in nodes]
+
+
+def _moves(edges: Iterable[tuple[int, int]],
+           width: int) -> list[tuple[int, int, int]]:
+    """Quantifier edges grouped by offset, as lane-mask moves.
+
+    Slot s owns bits s * width up to (s + 1) * width - 1, one per lane;
+    an edge (s, t) says that slot s quantifies over slot t.  For each
+    offset d = t - s that occurs, returns (right shift, left shift,
+    selector): shifting a mask right, then left, moves slot s + d's
+    lanes onto slot s, and the selector covers the lanes of every slot
+    with an edge at offset d.
+    """
+    full = (1 << width) - 1
+    groups: dict[int, int] = {}
+    for s, t in edges:
+        d = t - s
+        groups[d] = groups.get(d, 0) | full << (s * width)
+    return [(d * width if d > 0 else 0, -d * width if d < 0 else 0, sel)
+            for d, sel in sorted(groups.items())]
+
+
+def _evaluate(code: list[tuple[str, int, int]], var_masks: list[int],
+              space: int, imp: list[tuple[int, int, int]],
+              dia: list[tuple[int, int, int]]) -> list[int]:
+    """Truth masks of every instruction of ``code`` in one pass.
+
+    ``space`` covers the lanes of the legal (world, point) slots and
+    ``var_masks[p]``, inside ``space``, is variable p's mask.  ``imp``
+    holds the moves from each slot to its strict order-successors at
+    the same point, ``dia`` those to its relation successors in the same
+    world (see :func:`_moves`).  Every mask stays inside ``space``.
+    """
+    masks: list[int] = []
+    push = masks.append
+    imp_, or_, and_, var_, dia_, box_ = IMP, OR, AND, VAR, DIA, BOX
+    for kind, a, b in code:
+        if kind is imp_:
+            # a -> b fails where some v >= w has a without b
+            bad = masks[a] & ~masks[b]
+            fails = bad
+            for right, left, sel in imp:
+                fails |= (bad >> right << left) & sel
+            mask = space ^ fails
+        elif kind is or_:
+            mask = masks[a] | masks[b]
+        elif kind is and_:
+            mask = masks[a] & masks[b]
+        elif kind is var_:
+            mask = var_masks[a]
+        elif kind is dia_:
+            child = masks[a]
+            mask = 0
+            for right, left, sel in dia:
+                mask |= (child >> right << left) & sel
+        elif kind is box_:
+            # []a fails where some v >= w has <> of a's complement
+            child = ~masks[a]
+            bad = 0
+            for right, left, sel in dia:
+                bad |= (child >> right << left) & sel
+            fails = bad
+            for right, left, sel in imp:
+                fails |= (bad >> right << left) & sel
+            mask = space ^ fails
+        else:  # false
+            mask = 0
+        push(mask)
+    return masks
 
 
 class TableContext:
-    """Frame-derived quantifier masks shared across valuations.
+    """Frame-derived quantifier tables shared across valuations.
 
-    ``srow[w][x]`` is the relation row of x at w; ``req[w][x]`` collects
-    the (v, x) pair bits for all order-successors v of w, which is what
-    the implication clause quantifies over; ``space`` is the bitmask of
-    all legal (world, point) pairs, with pair (w, x) at bit w * P + x.
+    ``space`` is the bitmask of all legal (world, point) pairs, with
+    pair (w, x) at bit w * P + x, and ``pairs`` lists them world-major;
+    ``imp`` and ``dia`` are the evaluator's implication and diamond
+    moves in that layout, one lane per slot.
     """
 
-    __slots__ = ("n_worlds", "n_points", "pmask", "space", "pairs", "ups",
-                 "srow", "req")
+    __slots__ = ("n_worlds", "n_points", "space", "pairs", "imp", "dia")
 
     def __init__(self, n_worlds: int, n_points: int, up: tuple[int, ...],
                  delta: tuple[int, ...], srel: tuple[int, ...]):
@@ -406,28 +478,18 @@ class TableContext:
         pmask = (1 << P) - 1
         self.n_worlds = n_worlds
         self.n_points = P
-        self.pmask = pmask
-        self.ups = [tuple(bits_of(up[w])) for w in range(n_worlds)]
-        self.srow = [[(srel[w] >> (x * P)) & pmask for x in range(P)]
-                     for w in range(n_worlds)]
-        req = []
-        for w in range(n_worlds):
-            row = []
-            for x in range(P):
-                need = 0
-                for v in self.ups[w]:
-                    need |= 1 << (v * P + x)
-                row.append(need)
-            req.append(row)
-        self.req = req
+        self.pairs = pairs = [(w, x) for w in range(n_worlds)
+                              for x in bits_of(delta[w])]
         space = 0
-        pairs = []
         for w in range(n_worlds):
             space |= delta[w] << (w * P)
-            for x in bits_of(delta[w]):
-                pairs.append((w, x))
         self.space = space
-        self.pairs = pairs
+        later = [[v * P for v in bits_of(up[w]) if v != w]
+                 for w in range(n_worlds)]
+        self.imp = _moves(((w * P + x, v + x) for w, x in pairs
+                           for v in later[w]), 1)
+        self.dia = _moves(((w * P + x, w * P + y) for w, x in pairs
+                           for y in bits_of((srel[w] >> (x * P)) & pmask)), 1)
 
     @classmethod
     def for_model(cls, model: FiniteFSModel) -> "TableContext":
@@ -441,59 +503,20 @@ def truth_table(model: FiniteFSModel, phi: Formula,
 
     The mask of a subterm has bit w * P + x set iff the subterm holds at
     (w, x); only bits inside ``ctx.space`` are meaningful.  One pass over
-    the DAG in children-first order, so cost is DAG size times pair
-    count regardless of expanded tree size.
+    the DAG in children-first order, so cost is DAG size times the
+    quantifier moves regardless of expanded tree size.
     """
     if ctx is None:
         ctx = TableContext.for_model(model)
-    tables: dict[Formula, int] = {}
-    for node in subformulas(phi):
-        tables[node] = _node_mask(model, node, ctx, tables)
-    return tables
-
-
-def _node_mask(model: FiniteFSModel, node: Formula, ctx: TableContext,
-               tables: Mapping[Formula, int]) -> int:
+    nodes, code = _compile(phi)
     P = ctx.n_points
-    kind = node.kind
-    if kind == VAR:
-        mask = 0
-        p = node.var
-        if p <= model.nvars:
-            row = model.val[p - 1]
-            for w in range(ctx.n_worlds):
-                mask |= row[w] << (w * P)
-        return mask
-    if kind == BOT:
-        return 0
-    if kind == AND:
-        return tables[node.left] & tables[node.right]
-    if kind == OR:
-        return tables[node.left] | tables[node.right]
-    if kind == IMP:
-        holds = ~tables[node.left] | tables[node.right]
-        mask = 0
-        for w, x in ctx.pairs:
-            need = ctx.req[w][x]
-            if holds & need == need:
-                mask |= 1 << (w * P + x)
-        return mask
-    child = tables[node.left]
-    mask = 0
-    if kind == DIA:
-        for w, x in ctx.pairs:
-            if (child >> (w * P)) & ctx.srow[w][x]:
-                mask |= 1 << (w * P + x)
-        return mask
-    for w, x in ctx.pairs:  # box
-        ok = True
-        for v in ctx.ups[w]:
-            if ctx.srow[v][x] & ~(child >> (v * P)):
-                ok = False
-                break
-        if ok:
-            mask |= 1 << (w * P + x)
-    return mask
+    var_masks = [0] * (max(varset(phi), default=0) + 1)
+    for p, row in enumerate(model.val[:len(var_masks) - 1], 1):
+        for w in range(ctx.n_worlds):
+            var_masks[p] |= row[w] << (w * P)
+        var_masks[p] &= ctx.space
+    return dict(zip(nodes, _evaluate(code, var_masks, ctx.space, ctx.imp,
+                                     ctx.dia)))
 
 
 def true_in_model(model: FiniteFSModel, phi: Formula,

@@ -126,11 +126,14 @@ class _Parser:
         return FormulaSyntaxError(f"expected {expected}, found {found}", span)
 
     def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "imp":
+        parts = [self.disj()]
+        while self.peek()[0] == "imp":
             self.take()
-            return Implies(left, self.imp())
-        return left
+            parts.append(self.disj())
+        acc = parts.pop()
+        while parts:  # -> associates to the right
+            acc = Implies(parts.pop(), acc)
+        return acc
 
     def disj(self) -> Formula:
         acc = self.conj()
@@ -147,14 +150,13 @@ class _Parser:
         return acc
 
     def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "dia":
-            self.take()
-            return Diamond(self.unary())
-        if kind == "box":
-            self.take()
-            return Box(self.unary())
-        return self.atom()
+        prefix = []
+        while self.peek()[0] in ("dia", "box"):
+            prefix.append(self.take()[0])
+        acc = self.atom()
+        for kind in reversed(prefix):
+            acc = Diamond(acc) if kind == "dia" else Box(acc)
+        return acc
 
     def atom(self) -> Formula:
         kind, text, span = self.peek()

@@ -92,6 +92,16 @@ def test_check_and_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_check_long_box_run_returns_a_verdict(tmp_path):
+    model = tmp_path / "loop.model"
+    model.write_text("world w\npoint w a\ns w a a\n", encoding="utf-8")
+    code, text = run(["check", str(model), "[]" * 3000 + "false"])
+    assert (code, text) == (1, "w\ta\tfalse\n")
+    code, text = run(["check", str(model), "--global",
+                      "<>" * 3000 + "(p1 -> p1)"])
+    assert (code, text) == (0, "true\n")
+
+
 def test_check_rejects_invalid_model(tmp_path):
     model = tmp_path / "bad.model"
     model.write_text("world u\nworld v\nle u v\npoint u a\npoint v b\n",

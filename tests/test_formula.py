@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import formulas
+from imred.corpus import random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            box_chain_le, diamond_chain_le, is_positive,
                            length, mdepth, replace_bottom, structurally_equal,
-                           substitute, varset)
-from imred.reduction import family_formula, ground_formulas, positive_embed
+                           subformulas, substitute, varset)
+from imred.reduction import (family_formula, ground_formulas, positive_embed,
+                             star)
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -123,3 +127,34 @@ def test_substitution_preserves_positivity(phi, psi, p):
 def test_structural_equality_agrees_with_identity(phi):
     assert structurally_equal(phi, phi)
     assert not structurally_equal(phi, Diamond(phi))
+
+
+def _first_completion_order(phi, seen, out):
+    """Recursive reference: left before right, each node after its children."""
+    if id(phi) in seen:
+        return
+    seen.add(id(phi))
+    for child in (phi.left, phi.right):
+        if child is not None:
+            _first_completion_order(child, seen, out)
+    out.append(phi)
+
+
+def test_subformulas_each_node_once_children_first_root_last():
+    rng = random.Random(11)
+    corpus = []
+    for _ in range(60):
+        phi = random_formula(rng, max_depth=5, n_vars=3)
+        corpus += [phi, star(positive_embed(phi).positive_form).result]
+    for phi in corpus:
+        order = list(subformulas(phi))
+        position = {id(node): k for k, node in enumerate(order)}
+        assert len(position) == len(order)
+        assert order[-1] is phi
+        for k, node in enumerate(order):
+            for child in (node.left, node.right):
+                if child is not None:
+                    assert position[id(child)] < k
+        expected = []
+        _first_completion_order(phi, set(), expected)
+        assert [id(node) for node in order] == [id(node) for node in expected]

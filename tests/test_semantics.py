@@ -233,3 +233,63 @@ def test_monotone_valuations_are_monotone_and_sorted():
     # 1 and 2: lower {} -> upper {},{0},{1},{0,1}; lower {0} -> {0},{0,1};
     # 6 per variable, squared for two variables
     assert len(vals) == 36
+
+
+def test_deep_box_nesting_evaluates_without_recursion():
+    model = single_world(srel=[(0, 0)])
+    deep = BOTTOM
+    for _ in range(30_000):
+        deep = Box(deep)
+    assert not eval_formula(model, 0, 0, deep)
+    assert not eval_formula_plain(model, 0, 0, deep)
+    assert not truth_table(model, deep)[deep] & 1
+
+
+def reversed_world_ids(model):
+    """The same model with world ids reversed, so they run against the order."""
+    import dataclasses
+    last = model.n_worlds - 1
+
+    def flip(mask):
+        return sum(1 << (last - v) for v in bits_of(mask))
+
+    return dataclasses.replace(
+        model, up=tuple(flip(m) for m in reversed(model.up)),
+        delta=model.delta[::-1], srel=model.srel[::-1],
+        val=tuple(row[::-1] for row in model.val),
+        world_names=model.world_names[::-1])
+
+
+def test_truth_table_matches_reference_when_ids_run_against_the_order():
+    rng = random.Random(17)
+    against = growing = 0
+    for seed in range(300):
+        model = reversed_world_ids(seeded_model(seed, max_worlds=4))
+        assert validate_model(model) == []
+        against += any(v < w for w in model.worlds() for v in bits_of(model.up[w]))
+        growing += any(model.srel[v] & ~model.srel[w] for w in model.worlds()
+                       for v in bits_of(model.up[w]))
+        phi = random_formula(rng, max_depth=4, n_vars=2)
+        mask = truth_table(model, phi)[phi]
+        for w, x in model.pairs():
+            assert bool((mask >> (w * model.n_points + x)) & 1) == \
+                eval_formula_plain(model, w, x, phi), (seed, w, x)
+    assert against > 100 and growing > 50
+
+
+def test_declared_order_against_ids_with_growing_relation():
+    from imred.syntax import parse_formula, parse_model
+
+    # b <= a although b is declared second; a adds point y and pair (x, y)
+    model = parse_model("world a\nworld b\nle b a\npoint b x\npoint a x\n"
+                        "point a y\ns b x x\ns a x x\ns a x y\nval a p1 y\n")
+    a, b = model.world_names.index("a"), model.world_names.index("b")
+    x, y = model.point_names.index("x"), model.point_names.index("y")
+    cases = {("<>p1", b, x): False, ("<>p1", a, x): True,
+             ("[]<>p1", a, x): False, ("[](p1 -> false)", b, x): False,
+             ("[]p1 -> false", b, x): True, ("<>p1 -> false", b, x): False,
+             ("[](p1 | <>p1)", a, x): True, ("[](p1 | <>p1)", b, x): False}
+    for (text, w, pt), want in cases.items():
+        phi = parse_formula(text)
+        assert eval_formula_plain(model, w, pt, phi) is want, text
+        assert eval_formula(model, w, pt, phi) is want, text

@@ -30,6 +30,24 @@ def test_precedence_and_associativity():
         And(Implies(Var(1), Var(2)), Var(3))
 
 
+def test_long_prefix_runs_and_implication_chains_parse_in_loops():
+    depth = 5_000
+    expected = Var(1)
+    for k in range(depth):
+        expected = Box(expected) if k % 3 else Diamond(expected)
+    text = "".join("[]" if k % 3 else "<>" for k in reversed(range(depth)))
+    assert parse_formula(text + "p1") is expected
+    chain = Var(depth)
+    for p in reversed(range(1, depth)):
+        chain = Implies(Var(p), chain)
+    text = " -> ".join(f"p{p}" for p in range(1, depth + 1))
+    assert parse_formula(text) is chain
+    assert parse_formula("<>[]p1 -> p2 | p3 -> (p1 -> p2) -> p3") is \
+        Implies(Diamond(Box(Var(1))),
+                Implies(Or(Var(2), Var(3)),
+                        Implies(Implies(Var(1), Var(2)), Var(3))))
+
+
 def test_print_examples():
     assert print_formula(BOTTOM) == "false"
     _, g2, _ = ground_formulas()
