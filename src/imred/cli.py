@@ -12,6 +12,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -258,16 +259,38 @@ def cmd_audit(args: argparse.Namespace, out) -> int:
 
 
 def _fit_cubic(xs: list[float], ys: list[float]) -> tuple[list[float], float]:
-    """Least-squares polynomial fit of degree <= 3; returns coefficients and R^2."""
-    import numpy as np
+    """Least-squares polynomial fit of degree <= 3; returns coefficients and R^2.
 
-    coeffs = np.polyfit(xs, ys, deg=min(3, len(xs) - 1))
-    predicted = np.polyval(coeffs, xs)
-    observed = np.asarray(ys)
-    residual = float(((observed - predicted) ** 2).sum())
-    spread = float(((observed - observed.mean()) ** 2).sum())
+    Coefficients come highest power first, as from ``numpy.polyfit``.  The
+    normal equations are solved in u = (x - centre) / scale, with u in
+    [-1, 1]: in raw x they would hold x^6, about 10^24 at x = 10^4.  The
+    degree stays below the number of distinct xs, so the system is regular.
+    """
+    size = min(4, len(set(xs)))
+    centre = sum(xs) / len(xs)
+    scale = max(abs(x - centre) for x in xs) or 1.0
+    us = [(x - centre) / scale for x in xs]
+    # Augmented normal equations [G | b]: G[i][j] = sum u^(i+j), b[i] = sum y u^i.
+    # G is symmetric positive definite, so elimination needs no pivoting.
+    rows = [[sum(u ** (i + j) for u in us) for j in range(size)]
+            + [sum(y * u ** i for u, y in zip(us, ys))] for i in range(size)]
+    for col, pivot in enumerate(rows):
+        for row in rows:
+            if row is not pivot:
+                factor = row[col] / pivot[col]
+                row[:] = [a - factor * b for a, b in zip(row, pivot)]
+    c = [row[size] / row[k] for k, row in enumerate(rows)]  # c[k] multiplies u^k
+    predicted = [sum(ck * u ** k for k, ck in enumerate(c)) for u in us]
+    # Expand sum_k c[k] ((x - centre) / scale)^k into powers of x.
+    power = [0.0] * size
+    for k, ck in enumerate(c):
+        for j in range(k + 1):
+            power[j] += ck / scale ** k * math.comb(k, j) * (-centre) ** (k - j)
+    mean = sum(ys) / len(ys)
+    residual = sum((y - p) ** 2 for y, p in zip(ys, predicted))
+    spread = sum((y - mean) ** 2 for y in ys)
     r2 = 1.0 if spread == 0 else 1.0 - residual / spread
-    return [float(c) for c in coeffs], r2
+    return power[::-1], r2
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:

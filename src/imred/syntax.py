@@ -11,6 +11,10 @@ then right-associative ->; & and | associate to the left:
     atom    := "false" | VAR | "(" formula ")"
     VAR     := "p" [1-9][0-9]*
 
+The parser is one loop over the tokens with explicit operand and operator
+stacks, so nesting depth is bounded by memory, not by recursion; source
+offsets are computed only when a parse fails, by rescanning the text.
+
 Model files are line-oriented UTF-8; "#" starts a comment.  Directives:
 
     kind fs|mipc          optional, default fs
@@ -75,114 +79,89 @@ class ModelValidationError(ValueError):
         self.violations = violations
 
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<false>false\b)
-  | (?P<var>p[1-9][0-9]*)
-  | (?P<imp>->)
-  | (?P<dia><>)
-  | (?P<box>\[\])
-  | (?P<and>&)
-  | (?P<or>\|)
-  | (?P<lp>\()
-  | (?P<rp>\))
-""", re.VERBOSE)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, SourceSpan]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r} "
-                "(expected a variable like p1, 'false', a connective, or parentheses)",
-                SourceSpan(pos, pos + 1))
-        kind = m.lastgroup
-        pos = m.end()
-        if kind != "ws":
-            out.append((kind, m.group(), SourceSpan(m.start(), m.end())))
-    out.append(("eof", "", SourceSpan(len(text), len(text))))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, SourceSpan]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, SourceSpan]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: str) -> FormulaSyntaxError:
-        kind, text, span = self.peek()
-        found = "end of input" if kind == "eof" else repr(text)
-        return FormulaSyntaxError(f"expected {expected}, found {found}", span)
-
-    def imp(self) -> Formula:
-        parts = [self.disj()]
-        while self.peek()[0] == "imp":
-            self.take()
-            parts.append(self.disj())
-        acc = parts.pop()
-        while parts:  # -> associates to the right
-            acc = Implies(parts.pop(), acc)
-        return acc
-
-    def disj(self) -> Formula:
-        acc = self.conj()
-        while self.peek()[0] == "or":
-            self.take()
-            acc = Or(acc, self.conj())
-        return acc
-
-    def conj(self) -> Formula:
-        acc = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
-            acc = And(acc, self.unary())
-        return acc
-
-    def unary(self) -> Formula:
-        prefix = []
-        while self.peek()[0] in ("dia", "box"):
-            prefix.append(self.take()[0])
-        acc = self.atom()
-        for kind in reversed(prefix):
-            acc = Diamond(acc) if kind == "dia" else Box(acc)
-        return acc
-
-    def atom(self) -> Formula:
-        kind, text, span = self.peek()
-        if kind == "false":
-            self.take()
-            return BOTTOM
-        if kind == "var":
-            self.take()
-            return Var(int(text[1:]))
-        if kind == "lp":
-            self.take()
-            inner = self.imp()
-            if self.peek()[0] != "rp":
-                raise self.fail("')'")
-            self.take()
-            return inner
-        raise self.fail("a formula")
+# One token per match; whitespace is skipped, and the catch-all \S makes
+# any other character a one-character token that no rule accepts.
+_TOKEN = re.compile(r"false\b|p[1-9][0-9]*|->|<>|\[\]|[&|()]|\S")
+# Binary operators bind by strength; one about to be pushed first reduces
+# the stacked operators at least as strong (-> only those stronger, so it
+# associates to the right).  "(" and the prefixes are absent: strength 0.
+_STRENGTH = {"&": 3, "|": 2, "->": 1}
+_BUILD = {"&": And, "|": Or, "->": Implies, "<>": Diamond, "[]": Box}
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text; raises :class:`FormulaSyntaxError` with a span."""
-    parser = _Parser(text)
-    phi = parser.imp()
-    if parser.peek()[0] != "eof":
-        raise parser.fail("end of input")
-    return phi
+    tokens = _TOKEN.findall(text)
+    args: list[Formula] = []
+    ops: list[str] = []  # "(", "<>", "[]" and binary operators
+    atoms = {"false": BOTTOM}
+    depth = 0
+    want_operand = True
+    for i, tok in enumerate(tokens):
+        if want_operand:
+            if tok == "<>" or tok == "[]" or tok == "(":
+                depth += tok == "("
+                ops.append(tok)
+                continue
+            node = atoms.get(tok)
+            if node is None:
+                if tok[0] != "p" or len(tok) == 1:
+                    raise _syntax_error(text, tokens, i, "a formula")
+                node = atoms[tok] = Var(int(tok[1:]))
+        elif tok in _STRENGTH:
+            floor = _STRENGTH[tok] + (tok == "->")
+            while ops and _STRENGTH.get(ops[-1], 0) >= floor:
+                right = args.pop()
+                args[-1] = _BUILD[ops.pop()](args[-1], right)
+            ops.append(tok)
+            want_operand = True
+            continue
+        elif tok == ")" and depth:
+            while (op := ops.pop()) != "(":
+                right = args.pop()
+                args[-1] = _BUILD[op](args[-1], right)
+            depth -= 1
+            node = args.pop()
+        else:
+            raise _syntax_error(text, tokens, i,
+                                "')'" if depth else "end of input")
+        while ops and (ops[-1] == "<>" or ops[-1] == "[]"):
+            node = _BUILD[ops.pop()](node)
+        args.append(node)
+        want_operand = False
+    if want_operand or depth:
+        raise _syntax_error(text, tokens, len(tokens),
+                            "a formula" if want_operand else "')'")
+    while ops:
+        right = args.pop()
+        args[-1] = _BUILD[ops.pop()](args[-1], right)
+    return args[0]
+
+
+def _syntax_error(text: str, tokens: list[str], at: int,
+                  expected: str) -> FormulaSyntaxError:
+    """The error for a parse that failed at token ``at``.
+
+    A character that starts no token outranks any grammar error, even
+    one further left; none lies before ``at``, or the parse would have
+    stopped there.  Offsets come from rescanning ``text``.
+    """
+    for k in range(at, len(tokens)):
+        tok = tokens[k]
+        if len(tok) == 1 and tok not in "&|()":
+            at = k
+            reason = (f"unexpected character {tok!r} (expected a variable "
+                      "like p1, 'false', a connective, or parentheses)")
+            break
+    else:
+        found = "end of input" if at == len(tokens) else repr(tokens[at])
+        reason = f"expected {expected}, found {found}"
+    span = SourceSpan(len(text), len(text))
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == at:
+            span = SourceSpan(m.start(), m.end())
+            break
+    return FormulaSyntaxError(reason, span)
 
 
 # Binding strength per node kind; children are parenthesised whenever

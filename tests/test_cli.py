@@ -1,8 +1,10 @@
 import io
+import math
 
+import numpy as np
 import pytest
 
-from imred.cli import main
+from imred.cli import _fit_cubic, main
 
 
 def run(argv):
@@ -102,6 +104,16 @@ def test_check_long_box_run_returns_a_verdict(tmp_path):
     assert (code, text) == (0, "true\n")
 
 
+def test_deep_parentheses_return_a_verdict(tmp_path):
+    model = tmp_path / "one.model"
+    model.write_text("world a\npoint a x\n", encoding="utf-8")
+    deep = "(" * 2000 + "p1" + ")" * 2000
+    assert run(["check", str(model), deep]) == (1, "a\tx\tfalse\n")
+    code, text = run(["translate", deep])
+    assert (code, text) == run(["translate", "p1"])
+    assert code == 0
+
+
 def test_check_rejects_invalid_model(tmp_path):
     model = tmp_path / "bad.model"
     model.write_text("world u\nworld v\nle u v\npoint u a\npoint v b\n",
@@ -168,3 +180,24 @@ def test_bench_smoke():
     assert code == 0
     assert "fit\tdegree=3" in text
     assert text.startswith("seed\t5\n")
+
+
+@pytest.mark.parametrize("xs,ys", [
+    # test 06: five sizes up to 10^4 symbols, seconds per translation
+    ([100.0, 316.0, 1000.0, 3162.0, 10000.0],
+     [0.0012, 0.0011, 0.0040, 0.022, 0.099]),
+    ([100.0, 316.0, 1000.0, 3162.0, 10000.0],
+     [0.0007, 0.0023, 0.0071, 0.029, 0.118]),
+    # test_bench_smoke: four sizes, an exact cubic interpolation
+    ([60.0, 120.0, 240.0, 480.0], [0.0004, 0.0009, 0.0016, 0.0035]),
+])
+def test_fit_cubic_matches_numpy_polyfit(xs, ys):
+    coeffs, r2 = _fit_cubic(xs, ys)
+    expected = np.polyfit(xs, ys, deg=min(3, len(xs) - 1))
+    observed = np.asarray(ys)
+    residual = float(((observed - np.polyval(expected, xs)) ** 2).sum())
+    expected_r2 = 1.0 - residual / float(((observed - observed.mean()) ** 2).sum())
+    assert len(coeffs) == len(expected)
+    for got, want in zip(coeffs, expected):
+        assert math.isclose(got, float(want), rel_tol=1e-6)
+    assert math.isclose(r2, expected_r2, rel_tol=1e-6)

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import formulas
-from imred.formula import BOTTOM, And, Box, Diamond, Implies, Or, Var
+from imred.corpus import formula_with_length
+from imred.formula import (BOTTOM, IMP, And, Box, Diamond, Formula, Implies,
+                           Or, Var)
 from imred.reduction import family_formula, ground_formulas
 from imred.semantics import MIPC, validate_model
 from imred.syntax import (FormulaSyntaxError, ModelSyntaxError,
@@ -48,6 +53,18 @@ def test_long_prefix_runs_and_implication_chains_parse_in_loops():
                         Implies(Implies(Var(1), Var(2)), Var(3))))
 
 
+def test_nesting_of_100k_parses_without_recursion():
+    depth = 100_000
+    assert parse_formula("(" * depth + "p1" + ")" * depth) is Var(1)
+    phi = parse_formula("<>[]" * (depth // 2) + "(p1)")
+    assert phi.mdepth == depth and phi.length == depth + 2
+    chain = parse_formula(" -> ".join(["p1", "p2"] * (depth // 2)))
+    for k in range(depth - 1):  # right-nested: p1 -> (p2 -> (p1 -> ...))
+        assert chain.kind == IMP and chain.left is Var(1 + k % 2)
+        chain = chain.right
+    assert chain is Var(2)
+
+
 def test_print_examples():
     assert print_formula(BOTTOM) == "false"
     _, g2, _ = ground_formulas()
@@ -66,6 +83,65 @@ def test_parse_errors_carry_spans():
     for bad in ("", "p0", "p01", "(p1", "p1 p2", "-> p1", "P1"):
         with pytest.raises(FormulaSyntaxError):
             parse_formula(bad)
+
+
+_UNEXPECTED = ("unexpected character {!r} (expected a variable like p1, "
+               "'false', a connective, or parentheses)")
+
+# (text, reason, begin, end) for each error family, recorded from the
+# recursive-descent parser that the explicit-stack one replaced.
+_ERRORS = [
+    ("x", _UNEXPECTED.format("x"), 0, 1),
+    ("p0", _UNEXPECTED.format("p"), 0, 1),
+    ("falsey", _UNEXPECTED.format("f"), 0, 1),
+    ("p1 - p2", _UNEXPECTED.format("-"), 3, 4),
+    ("<p1", _UNEXPECTED.format("<"), 0, 1),
+    ("p1 p2 @", _UNEXPECTED.format("@"), 6, 7),
+    ("", "expected a formula, found end of input", 0, 0),
+    ("  ", "expected a formula, found end of input", 2, 2),
+    ("p1 &", "expected a formula, found end of input", 4, 4),
+    ("& p1", "expected a formula, found '&'", 0, 1),
+    ("()", "expected a formula, found ')'", 1, 2),
+    ("<>", "expected a formula, found end of input", 2, 2),
+    ("p1 ->", "expected a formula, found end of input", 5, 5),
+    ("p1 -> (p2 | )", "expected a formula, found ')'", 12, 13),
+    ("(p1", "expected ')', found end of input", 3, 3),
+    ("(p1 p2)", "expected ')', found 'p2'", 4, 6),
+    ("((p1)", "expected ')', found end of input", 5, 5),
+    ("p1)", "expected end of input, found ')'", 2, 3),
+    ("p1 p2", "expected end of input, found 'p2'", 3, 5),
+    ("p1 (p2)", "expected end of input, found '('", 3, 4),
+    ("false false", "expected end of input, found 'false'", 6, 11),
+]
+
+
+@pytest.mark.parametrize("text,reason,begin,end", _ERRORS)
+def test_parse_error_reason_and_span(text, reason, begin, end):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert err.value.reason == reason
+    assert err.value.span == SourceSpan(begin, end)
+
+
+_PIECES = ["p1", "p2", "p13", "false", "&", "|", "->", "<>", "[]", "(", ")",
+           " ", "\t", "x", "p0", "falsey", "-", "<", ">", "[", "@"]
+
+
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+                 st.text(max_size=20)))
+def test_any_text_gives_a_formula_or_an_error_inside_it(text):
+    try:
+        phi = parse_formula(text)
+    except FormulaSyntaxError as err:
+        assert 0 <= err.span.begin <= err.span.end <= len(text)
+    else:
+        assert isinstance(phi, Formula)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([10, 100, 1000]))
+def test_corpus_round_trip(seed, target):
+    phi = formula_with_length(random.Random(seed), target)
+    assert parse_formula(print_formula(phi)) is phi
 
 
 def test_span_validation():
