@@ -8,14 +8,23 @@ are partly avoided by construction: world ids respect the order, and
 point ids appear in first-use order; no general graph canonicalisation
 is attempted.
 
-The search evaluates candidates in lanes.  The valuations of one frame
-are cut into chunks of up to 64 in canonical order, and one pass of the
-bitmask evaluator of ``imred.semantics`` over the compiled formula DAG
-evaluates a whole chunk under one relation assignment.  A truth mask
-holds bit ``pair_index * width + lane`` for every legal (world, point)
-pair and every lane, so & and | are one integer operation for the whole
-chunk, while ->, <> and [] combine shifted copies of their operand
-masks, from one -> table per frame and one <> table per relation.
+The search evaluates candidates in lanes, up to 64 per pass of the
+bitmask evaluator of ``imred.semantics`` over the compiled formula DAG.
+A chunk holds up to 64 of a frame's valuations in canonical order, and
+one relation under a chunk is a layer: a truth mask holds bit
+``pair_index * block + v`` for every legal (world, point) pair and
+valuation v of the chunk, ``block`` being the chunk size.  When a frame
+has at most 32 valuations, its one chunk leaves room for more, and a
+pass stacks the layers of several consecutive relations, that of
+relation r of the group from bit ``r * pairs * block`` up, so candidate
+``r * block + v`` of the pass is relation r under valuation v.  & and |
+are one integer operation for the whole pass, while ->, <> and []
+combine shifted copies of their operand masks, from one -> table per
+frame, alike in every layer, and one <> table per relation group, each
+relation's edges in its own layer.  A search starts at one relation per
+pass and doubles the group after each pass that refutes nothing, up to
+what the frame's lanes hold, so an early refutation costs no wider pass
+than before.
 
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
@@ -246,20 +255,30 @@ def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSM
                     yield _materialise(frame, srel, val, kind, budget.var_bound)
 
 
+def _layers(k: int, bits: int) -> int:
+    """The integer with bit r * bits set for every r < k: one bit per
+    layer, so a product repeats a one-layer mask k times."""
+    return ((1 << (k * bits)) - 1) // ((1 << bits) - 1)
+
+
 class _Valuations(list):
-    """One frame's valuations in lane chunks, built as the search needs them.
+    """One frame's valuations in lane chunks and its relation groups,
+    built as the search needs them.
 
     A valuation is a tuple of indices into ``assignments``, the frame's
     monotone one-variable assignments, one index per variable; their
     canonical order is that of ``itertools.product``.  Item k is
-    (valuations, var_masks) for valuations k * width up to
-    (k + 1) * width - 1; var_masks[p] has bit i * width + lane set iff
-    variable p holds at frame pair i under the lane's valuation.
-    ``width`` is _LANES, or the frame's whole valuation count when that
-    is smaller.  ``imp`` holds the evaluator's implication moves: pair
-    (w, x) also quantifies over (v, x) for its strict order-successors v.
-    ``relations`` keeps the diamond moves of the relations met, when the
-    caller keeps tables across searches.
+    (valuations, var_masks) for valuations k * block up to
+    (k + 1) * block - 1, ``block`` being the valuation count capped at
+    _LANES; var_masks[p] has bit i * block + v set iff variable p holds
+    at frame pair i under valuation v.  That is one layer of ``bits``
+    bits.  When ``per`` = _LANES // block exceeds 1 there is one chunk,
+    and a pass over k <= per relations stacks k layers, relation r from
+    bit r * bits up (``stack``).  ``imp`` holds the evaluator's
+    implication moves in every layer: pair (w, x) also quantifies over
+    (v, x) for its strict order-successors v.  ``streams`` keeps each
+    kind's relations met and ``groups`` the diamond moves of the groups
+    met, when the caller keeps tables across searches.
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
@@ -267,24 +286,30 @@ class _Valuations(list):
         self.assignments = monotone_assignments(frame.n_worlds, frame.up,
                                                 frame.delta)
         count = len(self.assignments)
-        self.width = width = min(_LANES, count ** var_bound)
-        self.space = (1 << (len(frame.pairs) * width)) - 1
-        self.spread = [sum(1 << (i * width) for i, (w, x) in enumerate(frame.pairs)
+        self.block = block = min(_LANES, count ** var_bound)
+        self.per = per = _LANES // block
+        self.bits = bits = len(frame.pairs) * block
+        self.space = (1 << bits) - 1
+        self.spread = [sum(1 << (i * block) for i, (w, x) in enumerate(frame.pairs)
                            if (row[w] >> x) & 1) for row in self.assignments]
         self.var_bound = var_bound
         self.more = itertools.product(range(count), repeat=var_bound)
         self.frame = frame
         self.index = index = {pair: i for i, pair in enumerate(frame.pairs)}
-        self.imp = _moves(((i, index[v, x])
-                           for i, (w, x) in enumerate(frame.pairs)
-                           for v in bits_of(frame.up[w]) if v != w), width)
-        self.relations: dict[tuple[int, ...], list] = {}
+        layers = _layers(per, bits)
+        self.imp = [(right, left, sel * layers) for right, left, sel in
+                    _moves(((i, index[v, x])
+                            for i, (w, x) in enumerate(frame.pairs)
+                            for v in bits_of(frame.up[w]) if v != w), block)]
+        self.streams: dict[str, tuple[list, Iterator]] = {}
+        self.stacks: dict[int, tuple[int, list[int]]] = {}
+        self.groups: dict[tuple[tuple[int, ...], ...], list] = {}
 
     def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
         k = 0
         while True:
             if k == len(self):
-                vals = list(itertools.islice(self.more, self.width))
+                vals = list(itertools.islice(self.more, self.block))
                 if not vals:
                     return
                 spread = self.spread
@@ -299,43 +324,82 @@ class _Valuations(list):
     def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.assignments[a] for a in val)
 
-    def dia(self, srel: tuple[int, ...], keep: bool) -> list[tuple[int, int, int]]:
-        """The evaluator's diamond moves under one relation: pair (w, x)
-        looks at (w, y) for every y related to x at w."""
-        moves = self.relations.get(srel)
+    def relations(self, kind: str) -> Iterator[tuple[int, ...]]:
+        """The frame's relation stream for ``kind``, kept as it is read."""
+        stream = self.streams.get(kind)
+        if stream is None:
+            stream = self.streams[kind] = ([], _srel_stream(self.frame, kind))
+        known, more = stream
+        yield from known
+        # a for loop, unlike ``yield from``, leaves ``more`` open when this
+        # generator is closed, so the next search resumes the stream
+        for srel in more:
+            known.append(srel)
+            yield srel
+
+    def stack(self, k: int, var_masks: list[int]) -> tuple[int, list[int]]:
+        """The space and variable masks of k > 1 layers of the frame's
+        chunk (there is one when k > 1 relations share a pass)."""
+        got = self.stacks.get(k)
+        if got is None:
+            layers = _layers(k, self.bits)
+            got = self.stacks[k] = (self.space * layers,
+                                    [m * layers for m in var_masks])
+        return got
+
+    def dia(self, group: tuple[tuple[int, ...], ...],
+            keep: bool) -> list[tuple[int, int, int]]:
+        """The evaluator's diamond moves under a relation group: in the
+        layer of relation r, pair (w, x) looks at (w, y) for every y
+        related to x at w by relation r."""
+        moves = self.groups.get(group) if keep else None
         if moves is None:
             P = self.frame.n_points
             pmask = (1 << P) - 1
-            moves = _moves(((i, self.index[w, y])
-                            for i, (w, x) in enumerate(self.frame.pairs)
+            pairs, index = self.frame.pairs, self.index
+            n = len(pairs)
+            moves = _moves(((r * n + i, r * n + index[w, y])
+                            for r, srel in enumerate(group)
+                            for i, (w, x) in enumerate(pairs)
                             for y in bits_of((srel[w] >> (x * P)) & pmask)),
-                           self.width)
+                           self.block)
             if keep:
-                self.relations[srel] = moves
+                self.groups[group] = moves
         return moves
 
 
 def _passes(budget: SearchBudget, kind: str,
             table_cache: dict | None) -> Iterator[tuple]:
-    """Every (frame, relation, valuation chunk) in canonical order.
+    """Every (frame, relation group, valuation chunk) in canonical order.
 
+    A group holds ``size`` consecutive relations of a frame, at most the
+    frame's ``per``.  ``size`` starts at 1 and doubles after each pass
+    (the caller only resumes after a pass that refutes nothing), up to
+    the frame's ``per``, and carries over to the next frame.
     Per-frame tables are kept for the whole search, in ``table_cache``
-    when given; per-relation tables only when ``table_cache`` is given,
-    since one search meets each relation once.
+    when given; the relations met and per-group tables only when
+    ``table_cache`` is given, since one search meets each once.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     tables = {} if table_cache is None else table_cache
+    keep = table_cache is not None
+    size = 1
     for n in range(1, budget.max_worlds + 1):
         for frame in _frames(n, budget.max_points):
             key = (frame.up, frame.delta, budget.var_bound)
             vals = tables.get(key)
             if vals is None:
                 vals = tables[key] = _Valuations(frame, budget.var_bound)
-            for srel in _srel_stream(frame, kind):
-                dia = vals.dia(srel, keep=table_cache is not None)
+            per = vals.per
+            size = min(size, per)
+            srels = vals.relations(kind) if keep else _srel_stream(frame, kind)
+            while group := tuple(itertools.islice(srels, size)):
+                dia = vals.dia(group, keep)
                 for chunk in vals.chunks():
-                    yield frame, srel, vals, dia, chunk
+                    yield frame, group, vals, dia, chunk
+                    if size < per:
+                        size = min(2 * size, per)
 
 
 def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> None:
@@ -360,12 +424,23 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     exhausted result carries statistics including whether a candidate or
     time cap stopped the search early.
 
+    One pass of the evaluator checks up to 64 consecutive candidates of
+    a frame: a chunk of one relation's valuations or, when a frame has
+    at most 32 valuations, several relations under all of them, one
+    layer of lanes per relation.  The first pass holds one relation and
+    each pass that refutes nothing doubles the next one's group, up to
+    what fits the lanes.  The lowest failing layer, then the lowest
+    failing valuation in it, gives the first falsified candidate, and a
+    pass cut by the candidate cap checks exactly the candidates below
+    it.
+
     ``table_cache`` may be shared between searches, whatever their
     formulas, budgets and kinds: it keeps the formula-independent tables
-    of every frame and relation met (valuation lane chunks with the
-    frame's -> moves, and each relation's <> moves), keyed by frame
-    shape, so later searches over the same frames skip building them.
-    Every value supports ``len()``.  Results never depend on the cache.
+    of every frame and relation group met (valuation lane chunks with
+    the frame's -> moves, the relations met, and each group's <> moves),
+    keyed by frame shape, so later searches over the same frames skip
+    building them.  Every value supports ``len()``.  Results never
+    depend on the cache.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -383,7 +458,7 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     frames = 0
     last_frame = None
     stop = "exhausted"
-    for frame, srel, vals, dia, (chunk, var_masks) in _passes(
+    for frame, group, vals, dia, (chunk, var_masks) in _passes(
             budget, kind, table_cache):
         if cap is not None and tested >= cap:
             stop = "candidate-cap"
@@ -395,32 +470,43 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
         if frame is not last_frame:
             frames += 1
             last_frame = frame
-        lanes = len(chunk) if cap is None else min(len(chunk), cap - tested)
-        failed = vals.space & ~_evaluate(code, var_masks, vals.space,
-                                         vals.imp, dia)[-1]
-        width = vals.width
-        missing = 0
-        for i in range(len(frame.pairs)):
-            missing |= failed >> (i * width)
-        missing &= (1 << lanes) - 1
-        if not missing:
+        count = len(group) * len(chunk)
+        lanes = count if cap is None else min(count, cap - tested)
+        space = vals.space
+        if len(group) > 1:
+            space, var_masks = vals.stack(len(group), var_masks)
+        failed = space & ~_evaluate(code, var_masks, space, vals.imp, dia)[-1]
+        block = vals.block
+        if lanes < len(group) * block:
+            # keep candidates r * block + v below ``lanes``: whole layers,
+            # then valuations v < rem in every pair of the next layer
+            whole, rem = divmod(lanes, block)
+            failed &= (1 << (whole * vals.bits)) - 1 | sum(
+                ((1 << rem) - 1) << (whole * vals.bits + i * block)
+                for i in range(len(frame.pairs)))
+        if not failed:
             tested += lanes
-            if lanes < len(chunk):
+            if lanes < count:
                 stop = "candidate-cap"
                 break
             continue
-        lane = (missing & -missing).bit_length() - 1
+        r = ((failed & -failed).bit_length() - 1) // vals.bits
+        layer = failed >> (r * vals.bits)
+        missing = 0
+        for i in range(len(frame.pairs)):
+            missing |= layer >> (i * block)
+        v = (missing & -missing).bit_length() - 1
         i = 0
-        while not (failed >> (i * width + lane)) & 1:
+        while not (layer >> (i * block + v)) & 1:
             i += 1
         w, x = frame.pairs[i]
-        model = _materialise(frame, srel, vals.valuation(chunk[lane]), kind,
+        model = _materialise(frame, group[r], vals.valuation(chunk[v]), kind,
                              budget.var_bound)
         _recheck_certificate(model, w, x, phi)
         elapsed = (time.perf_counter() - started) * 1000.0
         return RefutationResult(
             countermodel=model, world=w, point=x,
-            stats=SearchStats(models_tested=tested + lane + 1,
+            stats=SearchStats(models_tested=tested + r * block + v + 1,
                               frames_tested=frames, elapsed_ms=elapsed,
                               stop="countermodel", budget=budget))
     elapsed = (time.perf_counter() - started) * 1000.0

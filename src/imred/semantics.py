@@ -20,19 +20,20 @@ mask per subterm, with & and | as one integer operation and ->, <> and
 pair and the pairs it quantifies over.  [] reuses the -> and <> moves:
 []a fails at (w, x) exactly when <> of a's complement holds at (v, x)
 for some v >= w.  ``truth_table`` runs it with one lane per pair (bit
-w * P + x); the countermodel search runs it with up to 64 valuations
-per pair (see ``imred.search``); ``eval_formula`` reads one bit of a
-``truth_table`` mask.  ``eval_formula_plain`` is the independent
-reference: it follows the clauses pointwise and shares no code with
-the masks.
+w * P + x); the countermodel search runs it on up to 64 (relation,
+valuation) candidates of a frame at once (see ``imred.search``);
+``eval_formula`` reads one bit of a ``truth_table`` mask.
+``eval_formula_plain`` is the independent reference: it follows the
+clauses pointwise and shares no code with the masks.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Mapping
+from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, subformulas,
                       varset)
@@ -412,7 +413,8 @@ def _moves(edges: Iterable[tuple[int, int]],
             for d, sel in sorted(groups.items())]
 
 
-def _evaluate(code: list[tuple[str, int, int]], var_masks: list[int],
+def _evaluate(code: list[tuple[str, int, int]],
+              var_masks: Sequence[int] | Mapping[int, int],
               space: int, imp: list[tuple[int, int, int]],
               dia: list[tuple[int, int, int]]) -> list[int]:
     """Truth masks of every instruction of ``code`` in one pass.
@@ -510,11 +512,13 @@ def truth_table(model: FiniteFSModel, phi: Formula,
         ctx = TableContext.for_model(model)
     nodes, code = _compile(phi)
     P = ctx.n_points
-    var_masks = [0] * (max(varset(phi), default=0) + 1)
-    for p, row in enumerate(model.val[:len(var_masks) - 1], 1):
+    # variables above the model's nvars are false everywhere
+    var_masks: dict[int, int] = collections.defaultdict(int)
+    for p, row in enumerate(model.val[:max(varset(phi), default=0)], 1):
+        mask = 0
         for w in range(ctx.n_worlds):
-            var_masks[p] |= row[w] << (w * P)
-        var_masks[p] &= ctx.space
+            mask |= row[w] << (w * P)
+        var_masks[p] = mask & ctx.space
     return dict(zip(nodes, _evaluate(code, var_masks, ctx.space, ctx.imp,
                                      ctx.dia)))
 

@@ -23,6 +23,7 @@ Model files are line-oriented UTF-8; "#" starts a comment.  Directives:
     point <world> <id>    adds a point to the world's point set
     s <world> <id> <id>   adds a pair to the world's relation
     val <world> p<k> <id> makes variable k true at the point in that world
+                          (k at most 10,000)
 
 Certificates append one trailer line: ``refutes <world> <point>``.
 """
@@ -107,7 +108,14 @@ def parse_formula(text: str) -> Formula:
             if node is None:
                 if tok[0] != "p" or len(tok) == 1:
                     raise _syntax_error(text, tokens, i, "a formula")
-                node = atoms[tok] = Var(int(tok[1:]))
+                try:
+                    index = int(tok[1:])
+                except ValueError:  # more digits than int() reads
+                    raise _syntax_error(
+                        text, tokens, i, "a formula",
+                        f"variable index of {len(tok) - 1} digits is too "
+                        "large") from None
+                node = atoms[tok] = Var(index)
         elif tok in _STRENGTH:
             floor = _STRENGTH[tok] + (tok == "->")
             while ops and _STRENGTH.get(ops[-1], 0) >= floor:
@@ -138,12 +146,13 @@ def parse_formula(text: str) -> Formula:
     return args[0]
 
 
-def _syntax_error(text: str, tokens: list[str], at: int,
-                  expected: str) -> FormulaSyntaxError:
+def _syntax_error(text: str, tokens: list[str], at: int, expected: str,
+                  reason: str | None = None) -> FormulaSyntaxError:
     """The error for a parse that failed at token ``at``.
 
-    A character that starts no token outranks any grammar error, even
-    one further left; none lies before ``at``, or the parse would have
+    The reason is ``reason`` if given, else that ``expected`` was not
+    found.  A character that starts no token outranks either, even one
+    further left; none lies before ``at``, or the parse would have
     stopped there.  Offsets come from rescanning ``text``.
     """
     for k in range(at, len(tokens)):
@@ -154,8 +163,9 @@ def _syntax_error(text: str, tokens: list[str], at: int,
                       "like p1, 'false', a connective, or parentheses)")
             break
     else:
-        found = "end of input" if at == len(tokens) else repr(tokens[at])
-        reason = f"expected {expected}, found {found}"
+        if reason is None:
+            found = "end of input" if at == len(tokens) else repr(tokens[at])
+            reason = f"expected {expected}, found {found}"
     span = SourceSpan(len(text), len(text))
     for k, m in enumerate(_TOKEN.finditer(text)):
         if k == at:
@@ -216,6 +226,9 @@ def print_formula(phi: Formula) -> str:
 
 _NAME = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _VAL_VAR = re.compile(r"p([1-9][0-9]*)\Z")
+# A model keeps one valuation row per variable up to its largest index,
+# so a file may name variables up to this index only.
+_MAX_VAL_VAR = 10_000
 
 
 def _strip_comment(line: str) -> str:
@@ -292,7 +305,11 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
             mvar = _VAL_VAR.match(args[1])
             if mvar is None:
                 raise ModelSyntaxError(f"bad variable token {args[1]!r}", line_no)
-            p = int(mvar.group(1))
+            digits = mvar.group(1)
+            if len(digits) > len(str(_MAX_VAL_VAR)) or \
+                    (p := int(digits)) > _MAX_VAL_VAR:
+                raise ModelSyntaxError(
+                    f"variable index above {_MAX_VAL_VAR}", line_no)
             val.setdefault(p, {}).setdefault(world(args[0], line_no), set()).add(
                 point(args[2], line_no))
         elif directive == "refutes":

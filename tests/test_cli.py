@@ -114,6 +114,21 @@ def test_deep_parentheses_return_a_verdict(tmp_path):
     assert code == 0
 
 
+def test_oversized_variable_indices_exit_2_without_traceback(tmp_path, capsys):
+    model = tmp_path / "one.model"
+    model.write_text("world a\npoint a x\n", encoding="utf-8")
+    assert run(["check", str(model), "p" + "1" * 5000]) == (2, "")
+    # an index int() reads is a variable the model leaves false
+    assert run(["check", str(model), "p" + "1" * 20]) == (1, "a\tx\tfalse\n")
+    huge = tmp_path / "huge.model"
+    huge.write_text("world a\npoint a x\nval a p" + "1" * 5000 + " x\n",
+                    encoding="utf-8")
+    assert run(["check", str(huge), "p1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "line 3: variable index above 10000" in err
+
+
 def test_check_rejects_invalid_model(tmp_path):
     model = tmp_path / "bad.model"
     model.write_text("world u\nworld v\nle u v\npoint u a\npoint v b\n",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from imred import search
 from imred.corpus import random_formula, refutable_corpus
 from imred.formula import BOTTOM, Box, Implies, Var, varset
 from imred.reduction import positive_embed, star
@@ -312,3 +313,96 @@ def test_deep_certificate_is_rechecked_without_recursion(depth):
     assert (result.world, result.point) == (0, 0)
     assert result.countermodel.srel == (1,)
     assert result.stats.models_tested == 4
+
+
+# First refuted at a non-first relation of a packed group as wide as its
+# frame allows: FS candidates 1493 and 1457 at (2, 2, 1) and (3, 2, 1),
+# relations 9 and 3 of a 10-relation group; 169 at (2, 3, 1), 4 of 8.
+PACKED_REFUTATIONS = ("[]((p1 -> []p1) | p1)", "p1 | (<>p1 & p1 -> <>[]p1)",
+                      "<><>p1 -> p1 | <>p1")
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2, 1), (2, 3, 1)])
+def test_packed_relation_lanes_match_naive_reference(shape):
+    rng = random.Random(f"packed:{shape}")
+    formulas = [random_formula(rng, max_depth=3, n_vars=1) for _ in range(6)]
+    packed = [parse_formula(text) for text in PACKED_REFUTATIONS]
+    # caps 7, 8 and 9 cut inside, at the end of and inside the next
+    # relation block of the first two-point frame, whose block is 4 lanes
+    caps = (1, 7, 8, 9, 49, 64, 65, 130, 700)
+    runs = [(phi, cap) for phi in formulas + packed for cap in caps]
+    runs += [(phi, 2000) for phi in packed]
+    # a cap just below the first countermodel cuts its relation's layer
+    for phi in formulas + packed:
+        first = find_countermodel(phi, SearchBudget(*shape, max_candidates=2000), FS)
+        if first.refuted and first.stats.models_tested > 1:
+            runs.append((phi, first.stats.models_tested - 1))
+    for phi, cap in runs:
+        budget = SearchBudget(*shape, max_candidates=cap)
+        assert reported(find_countermodel(phi, budget, FS)) == \
+            reference_search(phi, budget, FS), (print_formula(phi), cap)
+
+
+def test_packed_refutations_sit_inside_full_groups(monkeypatch):
+    passes = []
+    real = search._passes
+
+    def spy(*args):
+        for item in real(*args):
+            passes.append(item)
+            yield item
+
+    monkeypatch.setattr(search, "_passes", spy)
+    for text, shapes, tested, at in ((PACKED_REFUTATIONS[0], ((2, 2, 1), (3, 2, 1)), 1493, 9),
+                                     (PACKED_REFUTATIONS[1], ((2, 2, 1), (3, 2, 1)), 1457, 3),
+                                     (PACKED_REFUTATIONS[2], ((2, 3, 1),), 169, 4)):
+        for shape in shapes:
+            result = find_countermodel(parse_formula(text), SearchBudget(*shape), FS)
+            _, group, vals, _, _ = passes[-1]
+            assert result.stats.models_tested == tested
+            assert len(group) == vals.per > 1
+            assert group.index(result.countermodel.srel) == at
+
+
+def test_packed_passes_fill_the_lanes(monkeypatch):
+    calls = []
+    evaluate = search._evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(search, "_evaluate", counting)
+    out = star(positive_embed(parse_formula("<>p1 -> []p1")).positive_form).result
+    result = find_countermodel(out, SearchBudget(2, 2, 1, max_candidates=1500), FS)
+    assert result.stats.models_tested == 1500
+    assert len(calls) < result.stats.models_tested / 16
+
+
+def test_shared_table_cache_across_group_sizes_matches_cold_searches():
+    # A search doubles its relation group after every pass, up to what the
+    # frame's lanes hold, so how a frame is grouped depends on the frames
+    # before it: at (2, 2, 2) the first two-world frame follows one that
+    # packs 4 relations, at (2, 3, 2) one that packs a single relation.
+    # MIPC passes hold the total relation alone.  The cache then holds
+    # distinct, overlapping groups of one frame.
+    rng = random.Random(29)
+    cache = {}
+    runs = []
+    for shape in ((2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3),
+                  (2, 2, 3)):
+        for kind in (FS, MIPC):
+            for _ in range(3):
+                phi = random_formula(rng, max_depth=3, n_vars=shape[2])
+                runs.append((phi, SearchBudget(*shape, max_candidates=400), kind))
+    for shape in ((2, 2, 2), (2, 3, 2)):
+        for kind in (FS, MIPC):
+            runs.append((parse_formula("p1 -> p2 -> p1"),
+                         SearchBudget(*shape, max_candidates=40_000), kind))
+    runs.append((parse_formula(PACKED_REFUTATIONS[0]), SearchBudget(2, 2, 1), FS))
+    for phi, budget, kind in runs + runs[::-1]:
+        warm = find_countermodel(phi, budget, kind, table_cache=cache)
+        assert reported(warm) == reported(find_countermodel(phi, budget, kind))
+    assert all(len(value) for value in cache.values())
+    assert any(a != b and set(a) & set(b)
+               for vals in cache.values() for a in vals.groups for b in vals.groups)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from conftest import formulas
 from imred.corpus import formula_with_length
 from imred.formula import (BOTTOM, IMP, And, Box, Diamond, Formula, Implies,
                            Or, Var)
+from imred import semantics
 from imred.reduction import family_formula, ground_formulas
 from imred.semantics import MIPC, validate_model
 from imred.syntax import (FormulaSyntaxError, ModelSyntaxError,
@@ -225,6 +227,46 @@ def test_parse_model_syntax_errors():
             parse_model(bad)
     with pytest.raises(ModelSyntaxError):
         parse_model("")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """int() refuses more than 4,300 digits, as by default."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_oversized_variable_index_is_a_syntax_error(int_digit_limit):
+    huge = "p" + "1" * 5000
+    for text, begin in ((huge, 0), ("p1 & " + huge + " | p2", 5)):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.reason == "variable index of 5000 digits is too large"
+        assert err.value.span == SourceSpan(begin, begin + 5001)
+    # a character that starts no token still outranks it
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(huge + " @")
+    assert err.value.reason.startswith("unexpected character '@'")
+    assert parse_formula("p" + "9" * 4300) is Var(int("9" * 4300))
+
+
+def test_model_variable_index_is_capped_before_rows_are_built(monkeypatch):
+    def refuse(**kwargs):
+        raise AssertionError("valuation rows built for an oversized index")
+
+    for index in ("1" * 5000, "10001", "99999"):
+        monkeypatch.setattr(semantics, "build_model", refuse)
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(f"world a\npoint a x\nval a p{index} x\n")
+        assert err.value.line_no == 3
+        assert err.value.reason == "variable index above 10000"
+    monkeypatch.undo()
+    model = parse_model("world a\npoint a x\nval a p10000 x\n")
+    assert model.nvars == 10_000 and model.val[-1] == (1,)
 
 
 def test_model_round_trip():
