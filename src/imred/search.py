@@ -26,6 +26,14 @@ pass and doubles the group after each pass that refutes nothing, up to
 what the frame's lanes hold, so an early refutation costs no wider pass
 than before.
 
+Searches in one process share their formula-independent tables: the
+chunks, relations and <> moves of the frames they meet are kept in one
+module cache, to which a search adds only within its first _KEEP
+candidates, so the cache holds what the first frames of a budget need
+and a long search keeps no more than a short one.  Compiled formulas
+come from the bounded compile memo of ``imred.semantics``.
+``imred.formula.clear_caches`` empties both.
+
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
 pointwise reference ``eval_formula_plain`` before being handed out; an
@@ -39,11 +47,12 @@ import dataclasses
 import functools
 import itertools
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import Formula, varset
+from .formula import Formula, register_cache_clearer, varset
 from .reduction import PositiveEmbedding, OneVarSubstitution, positive_embed, star
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain,
@@ -261,13 +270,23 @@ def _layers(k: int, bits: int) -> int:
     return ((1 << (k * bits)) - 1) // ((1 << bits) - 1)
 
 
-class _Valuations(list):
+# Candidates a search reads before it stops adding to the table cache.
+_KEEP = 8192
+
+# Frame tables by (up, delta, var_bound), shared by every search; one
+# search at a time reads and extends them, under _LOCK.
+_TABLES: dict[tuple[tuple[int, ...], tuple[int, ...], int], "_Valuations"] = {}
+_LOCK = threading.Lock()
+register_cache_clearer(_TABLES.clear)
+
+
+class _Valuations:
     """One frame's valuations in lane chunks and its relation groups,
-    built as the search needs them.
+    built as searches need them and kept in ``_TABLES``.
 
     A valuation is a tuple of indices into ``assignments``, the frame's
     monotone one-variable assignments, one index per variable; their
-    canonical order is that of ``itertools.product``.  Item k is
+    canonical order is that of ``itertools.product``.  Chunk k is
     (valuations, var_masks) for valuations k * block up to
     (k + 1) * block - 1, ``block`` being the valuation count capped at
     _LANES; var_masks[p] has bit i * block + v set iff variable p holds
@@ -276,24 +295,28 @@ class _Valuations(list):
     and a pass over k <= per relations stacks k layers, relation r from
     bit r * bits up (``stack``).  ``imp`` holds the evaluator's
     implication moves in every layer: pair (w, x) also quantifies over
-    (v, x) for its strict order-successors v.  ``streams`` keeps each
-    kind's relations met and ``groups`` the diamond moves of the groups
-    met, when the caller keeps tables across searches.
+    (v, x) for its strict order-successors v.
+
+    What searches add is kept for later ones: ``chunks`` holds the first
+    chunks, continued by the valuations of ``more``; ``streams`` holds,
+    per kind, the first relations and the stream that continues them;
+    ``groups`` holds the diamond moves of the groups met.  A search adds
+    to them only while it has read fewer than _KEEP candidates (see
+    :func:`_passes`), so what a frame keeps is bounded whatever the caps.
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
-        super().__init__()
         self.assignments = monotone_assignments(frame.n_worlds, frame.up,
                                                 frame.delta)
-        count = len(self.assignments)
-        self.block = block = min(_LANES, count ** var_bound)
+        count = len(self.assignments) ** var_bound
+        self.block = block = min(_LANES, count)
+        self.n_chunks = -(-count // block)
         self.per = per = _LANES // block
         self.bits = bits = len(frame.pairs) * block
         self.space = (1 << bits) - 1
         self.spread = [sum(1 << (i * block) for i, (w, x) in enumerate(frame.pairs)
                            if (row[w] >> x) & 1) for row in self.assignments]
         self.var_bound = var_bound
-        self.more = itertools.product(range(count), repeat=var_bound)
         self.frame = frame
         self.index = index = {pair: i for i, pair in enumerate(frame.pairs)}
         layers = _layers(per, bits)
@@ -301,41 +324,50 @@ class _Valuations(list):
                     _moves(((i, index[v, x])
                             for i, (w, x) in enumerate(frame.pairs)
                             for v in bits_of(frame.up[w]) if v != w), block)]
-        self.streams: dict[str, tuple[list, Iterator]] = {}
+        self.chunks: list[tuple[list[tuple[int, ...]], list[int]]] = []
+        self.more = self.valuations(0)
+        self.streams: dict[str, tuple[list, Iterator | None]] = {}
         self.stacks: dict[int, tuple[int, list[int]]] = {}
         self.groups: dict[tuple[tuple[int, ...], ...], list] = {}
 
-    def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-        k = 0
-        while True:
-            if k == len(self):
-                vals = list(itertools.islice(self.more, self.block))
-                if not vals:
-                    return
-                spread = self.spread
-                masks = [0] * (self.var_bound + 1)
-                for lane, val in enumerate(vals):
-                    for p, a in enumerate(val, 1):
-                        masks[p] |= spread[a] << lane
-                self.append((vals, masks))
-            yield self[k]
-            k += 1
+    def valuations(self, start: int) -> Iterator[tuple[int, ...]]:
+        """The frame's valuations in canonical order, from the start-th."""
+        return itertools.islice(
+            itertools.product(range(len(self.assignments)),
+                              repeat=self.var_bound), start, None)
+
+    def chunk(self, more: Iterator) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The chunk of the next ``block`` valuations of ``more``."""
+        vals = list(itertools.islice(more, self.block))
+        spread = self.spread
+        masks = [0] * (self.var_bound + 1)
+        for lane, val in enumerate(vals):
+            for p, a in enumerate(val, 1):
+                masks[p] |= spread[a] << lane
+        return vals, masks
 
     def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.assignments[a] for a in val)
 
-    def relations(self, kind: str) -> Iterator[tuple[int, ...]]:
-        """The frame's relation stream for ``kind``, kept as it is read."""
+    def relations(self, kind: str, keeping) -> Iterator[tuple[int, ...]]:
+        """The frame's relation stream for ``kind``: those kept, then new
+        ones, kept while ``keeping()`` holds, then the rest, kept nowhere."""
         stream = self.streams.get(kind)
         if stream is None:
             stream = self.streams[kind] = ([], _srel_stream(self.frame, kind))
         known, more = stream
         yield from known
-        # a for loop, unlike ``yield from``, leaves ``more`` open when this
-        # generator is closed, so the next search resumes the stream
-        for srel in more:
+        if more is None:
+            return
+        while keeping():
+            srel = next(more, None)
+            if srel is None:
+                self.streams[kind] = (known, None)
+                return
             known.append(srel)
             yield srel
+        yield from itertools.islice(_srel_stream(self.frame, kind),
+                                    len(known), None)
 
     def stack(self, k: int, var_masks: list[int]) -> tuple[int, list[int]]:
         """The space and variable masks of k > 1 layers of the frame's
@@ -351,8 +383,9 @@ class _Valuations(list):
             keep: bool) -> list[tuple[int, int, int]]:
         """The evaluator's diamond moves under a relation group: in the
         layer of relation r, pair (w, x) looks at (w, y) for every y
-        related to x at w by relation r."""
-        moves = self.groups.get(group) if keep else None
+        related to x at w by relation r.  Kept for later searches when
+        ``keep`` holds."""
+        moves = self.groups.get(group)
         if moves is None:
             P = self.frame.n_points
             pmask = (1 << P) - 1
@@ -368,36 +401,59 @@ class _Valuations(list):
         return moves
 
 
-def _passes(budget: SearchBudget, kind: str,
-            table_cache: dict | None) -> Iterator[tuple]:
+def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     """Every (frame, relation group, valuation chunk) in canonical order.
 
     A group holds ``size`` consecutive relations of a frame, at most the
     frame's ``per``.  ``size`` starts at 1 and doubles after each pass
     (the caller only resumes after a pass that refutes nothing), up to
     the frame's ``per``, and carries over to the next frame.
-    Per-frame tables are kept for the whole search, in ``table_cache``
-    when given; the relations met and per-group tables only when
-    ``table_cache`` is given, since one search meets each once.
+
+    Frame tables come from the module cache ``_TABLES``.  While the
+    candidates of the passes so far are fewer than _KEEP, the search adds
+    to it every frame, chunk, relation and group it builds.  After that
+    it reads what is kept and builds the rest for itself: a frame's
+    chunks for as long as it reads the frame, its relations and groups
+    only for the pass that needs them.  A search therefore adds at most
+    what its first _KEEP candidates meet, and a longer cap retains no
+    more.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    tables = {} if table_cache is None else table_cache
-    keep = table_cache is not None
     size = 1
+    seen = 0
+
+    def keeping() -> bool:
+        return seen < _KEEP
+
     for n in range(1, budget.max_worlds + 1):
         for frame in _frames(n, budget.max_points):
             key = (frame.up, frame.delta, budget.var_bound)
-            vals = tables.get(key)
+            vals = _TABLES.get(key)
             if vals is None:
-                vals = tables[key] = _Valuations(frame, budget.var_bound)
+                vals = _Valuations(frame, budget.var_bound)
+                if keeping():
+                    _TABLES[key] = vals
             per = vals.per
             size = min(size, per)
-            srels = vals.relations(kind) if keep else _srel_stream(frame, kind)
+            # this search's chunks of the frame: those kept, then those it
+            # adds to them, then, from ``more``, those it keeps to itself
+            chunks = list(vals.chunks)
+            more = None
+            srels = vals.relations(kind, keeping)
             while group := tuple(itertools.islice(srels, size)):
-                dia = vals.dia(group, keep)
-                for chunk in vals.chunks():
+                dia = vals.dia(group, keeping())
+                for k in range(vals.n_chunks):
+                    if k == len(chunks):
+                        if more is None and keeping():
+                            vals.chunks.append(vals.chunk(vals.more))
+                            chunks.append(vals.chunks[k])
+                        else:
+                            more = more or vals.valuations(k * vals.block)
+                            chunks.append(vals.chunk(more))
+                    chunk = chunks[k]
                     yield frame, group, vals, dia, chunk
+                    seen += len(group) * len(chunk[0])
                     if size < per:
                         size = min(2 * size, per)
 
@@ -434,13 +490,17 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     pass cut by the candidate cap checks exactly the candidates below
     it.
 
-    ``table_cache`` may be shared between searches, whatever their
-    formulas, budgets and kinds: it keeps the formula-independent tables
-    of every frame and relation group met (valuation lane chunks with
-    the frame's -> moves, the relations met, and each group's <> moves),
-    keyed by frame shape, so later searches over the same frames skip
-    building them.  Every value supports ``len()``.  Results never
-    depend on the cache.
+    Searches in one process share the formula-independent tables of the
+    frames and relation groups they meet (valuation lane chunks with the
+    frame's -> moves, the relations met, and each group's <> moves),
+    kept in a module cache by frame shape and variable bound, and the
+    compiled formula, kept in the bounded compile memo of
+    ``imred.semantics``.  A search adds tables only within its first
+    _KEEP (8,192) candidates, so a later search over the same first
+    frames skips building them while a long search keeps no more than a
+    short one.  ``imred.formula.clear_caches`` empties both caches.
+    ``table_cache`` is accepted for compatibility and ignored.  Results
+    never depend on the caches.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -453,67 +513,67 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
             time_cap = float(env)
     cap = budget.max_candidates
     code = _compile(phi)[1]
-    started = time.perf_counter()
-    tested = 0
-    frames = 0
-    last_frame = None
-    stop = "exhausted"
-    for frame, group, vals, dia, (chunk, var_masks) in _passes(
-            budget, kind, table_cache):
-        if cap is not None and tested >= cap:
-            stop = "candidate-cap"
-            break
-        if time_cap is not None and \
-                (time.perf_counter() - started) * 1000.0 > time_cap:
-            stop = "time-cap"
-            break
-        if frame is not last_frame:
-            frames += 1
-            last_frame = frame
-        count = len(group) * len(chunk)
-        lanes = count if cap is None else min(count, cap - tested)
-        space = vals.space
-        if len(group) > 1:
-            space, var_masks = vals.stack(len(group), var_masks)
-        failed = space & ~_evaluate(code, var_masks, space, vals.imp, dia)[-1]
-        block = vals.block
-        if lanes < len(group) * block:
-            # keep candidates r * block + v below ``lanes``: whole layers,
-            # then valuations v < rem in every pair of the next layer
-            whole, rem = divmod(lanes, block)
-            failed &= (1 << (whole * vals.bits)) - 1 | sum(
-                ((1 << rem) - 1) << (whole * vals.bits + i * block)
-                for i in range(len(frame.pairs)))
-        if not failed:
-            tested += lanes
-            if lanes < count:
+    with _LOCK:
+        started = time.perf_counter()
+        tested = 0
+        frames = 0
+        last_frame = None
+        stop = "exhausted"
+        for frame, group, vals, dia, (chunk, var_masks) in _passes(budget, kind):
+            if cap is not None and tested >= cap:
                 stop = "candidate-cap"
                 break
-            continue
-        r = ((failed & -failed).bit_length() - 1) // vals.bits
-        layer = failed >> (r * vals.bits)
-        missing = 0
-        for i in range(len(frame.pairs)):
-            missing |= layer >> (i * block)
-        v = (missing & -missing).bit_length() - 1
-        i = 0
-        while not (layer >> (i * block + v)) & 1:
-            i += 1
-        w, x = frame.pairs[i]
-        model = _materialise(frame, group[r], vals.valuation(chunk[v]), kind,
-                             budget.var_bound)
-        _recheck_certificate(model, w, x, phi)
+            if time_cap is not None and \
+                    (time.perf_counter() - started) * 1000.0 > time_cap:
+                stop = "time-cap"
+                break
+            if frame is not last_frame:
+                frames += 1
+                last_frame = frame
+            count = len(group) * len(chunk)
+            lanes = count if cap is None else min(count, cap - tested)
+            space = vals.space
+            if len(group) > 1:
+                space, var_masks = vals.stack(len(group), var_masks)
+            failed = space & ~_evaluate(code, var_masks, space, vals.imp, dia)[-1]
+            block = vals.block
+            if lanes < len(group) * block:
+                # keep candidates r * block + v below ``lanes``: whole layers,
+                # then valuations v < rem in every pair of the next layer
+                whole, rem = divmod(lanes, block)
+                failed &= (1 << (whole * vals.bits)) - 1 | sum(
+                    ((1 << rem) - 1) << (whole * vals.bits + i * block)
+                    for i in range(len(frame.pairs)))
+            if not failed:
+                tested += lanes
+                if lanes < count:
+                    stop = "candidate-cap"
+                    break
+                continue
+            r = ((failed & -failed).bit_length() - 1) // vals.bits
+            layer = failed >> (r * vals.bits)
+            missing = 0
+            for i in range(len(frame.pairs)):
+                missing |= layer >> (i * block)
+            v = (missing & -missing).bit_length() - 1
+            i = 0
+            while not (layer >> (i * block + v)) & 1:
+                i += 1
+            w, x = frame.pairs[i]
+            model = _materialise(frame, group[r], vals.valuation(chunk[v]), kind,
+                                 budget.var_bound)
+            _recheck_certificate(model, w, x, phi)
+            elapsed = (time.perf_counter() - started) * 1000.0
+            return RefutationResult(
+                countermodel=model, world=w, point=x,
+                stats=SearchStats(models_tested=tested + r * block + v + 1,
+                                  frames_tested=frames, elapsed_ms=elapsed,
+                                  stop="countermodel", budget=budget))
         elapsed = (time.perf_counter() - started) * 1000.0
         return RefutationResult(
-            countermodel=model, world=w, point=x,
-            stats=SearchStats(models_tested=tested + r * block + v + 1,
-                              frames_tested=frames, elapsed_ms=elapsed,
-                              stop="countermodel", budget=budget))
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return RefutationResult(
-        countermodel=None, world=None, point=None,
-        stats=SearchStats(models_tested=tested, frames_tested=frames,
-                          elapsed_ms=elapsed, stop=stop, budget=budget))
+            countermodel=None, world=None, point=None,
+            stats=SearchStats(models_tested=tested, frames_tested=frames,
+                              elapsed_ms=elapsed, stop=stop, budget=budget))
 
 
 CONSISTENT = "consistent"
@@ -565,7 +625,9 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     ``budget_out``, with the variable bound adjusted to each target
     formula).  Classification is per :func:`classify_pair`; bounded
     search being refutation-only, no outcome here can establish a
-    translation failure by itself.
+    translation failure by itself.  The three searches share the
+    library's table cache and compile memo (see
+    :func:`find_countermodel`); ``table_cache`` is accepted and ignored.
     """
     embedding = positive_embed(phi)
     subst = star(embedding.positive_form)
@@ -573,12 +635,10 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     positive_budget = dataclasses.replace(
         budget_out, var_bound=max(varset(embedding.positive_form), default=0))
     positive_result = find_countermodel(embedding.positive_form,
-                                        positive_budget, kind,
-                                        table_cache=table_cache)
+                                        positive_budget, kind)
     one_var_budget = dataclasses.replace(
         budget_out, var_bound=max(varset(subst.result), default=0))
-    one_var_result = find_countermodel(subst.result, one_var_budget, kind,
-                                       table_cache=table_cache)
+    one_var_result = find_countermodel(subst.result, one_var_budget, kind)
     return ConsistencyReport(
         input=phi, embedding=embedding, substitution=subst,
         input_result=input_result, positive_result=positive_result,

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
-from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, subformulas,
-                      varset)
+from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula,
+                      register_cache_clearer, subformulas, varset)
 
 FS = "fs"
 MIPC = "mipc"
@@ -382,15 +383,25 @@ def _clause(m: FiniteFSModel, phi: Formula, w: int,
     return True
 
 
-def _compile(phi: Formula) -> tuple[list[Formula], list[tuple[str, int, int]]]:
+@functools.lru_cache(maxsize=256)
+def _compile(phi: Formula) -> tuple[tuple[Formula, ...],
+                                    tuple[tuple[str, int, int], ...]]:
     """The distinct subterms of ``phi``, children-first with the root
     last, and one instruction (kind, left position or variable index,
-    right position) per subterm."""
-    nodes = list(subformulas(phi))
+    right position) per subterm.
+
+    Memoized per formula node in a least-recently-used cache of 256
+    entries, emptied by :func:`imred.formula.clear_caches`; the results
+    are tuples, since every caller of a formula shares them.
+    """
+    nodes = tuple(subformulas(phi))
     position = {id(node): k for k, node in enumerate(nodes)}
-    return nodes, [(node.kind, node.var, 0) if node.kind == VAR else
-                   (node.kind, position.get(id(node.left), 0),
-                    position.get(id(node.right), 0)) for node in nodes]
+    return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
+                        (node.kind, position.get(id(node.left), 0),
+                         position.get(id(node.right), 0)) for node in nodes)
+
+
+register_cache_clearer(_compile.cache_clear)
 
 
 def _moves(edges: Iterable[tuple[int, int]],
@@ -413,7 +424,7 @@ def _moves(edges: Iterable[tuple[int, int]],
             for d, sel in sorted(groups.items())]
 
 
-def _evaluate(code: list[tuple[str, int, int]],
+def _evaluate(code: Sequence[tuple[str, int, int]],
               var_masks: Sequence[int] | Mapping[int, int],
               space: int, imp: list[tuple[int, int, int]],
               dia: list[tuple[int, int, int]]) -> list[int]:
@@ -506,7 +517,10 @@ def truth_table(model: FiniteFSModel, phi: Formula,
     The mask of a subterm has bit w * P + x set iff the subterm holds at
     (w, x); only bits inside ``ctx.space`` are meaningful.  One pass over
     the DAG in children-first order, so cost is DAG size times the
-    quantifier moves regardless of expanded tree size.
+    quantifier moves regardless of expanded tree size.  The compiled
+    DAG comes from a bounded per-formula memo (the last 256 formulas
+    compiled in the process), so checking one formula on many models
+    compiles it once.
     """
     if ctx is None:
         ctx = TableContext.for_model(model)

@@ -1,18 +1,20 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from imred import search
 from imred.corpus import random_formula, refutable_corpus
-from imred.formula import BOTTOM, Box, Implies, Var, varset
+from imred.formula import BOTTOM, Box, Implies, Var, clear_caches, varset
 from imred.reduction import positive_embed, star
 from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
                           check_translation_consistency, enumerate_models,
                           find_countermodel)
-from imred.semantics import (FS, MIPC, eval_formula_plain, true_in_model,
-                             validate_model)
+from imred.semantics import (FS, MIPC, _compile, eval_formula_plain,
+                             true_in_model, truth_table, validate_model)
 from imred.syntax import parse_formula, print_formula
 
 
@@ -202,20 +204,26 @@ def test_consistency_probe_on_refutable_formula():
     assert not report.contradiction
 
 
+def cold_search(phi, budget, kind):
+    """A search that finds no cached frame tables or compiled code."""
+    clear_caches()
+    return find_countermodel(phi, budget, kind)
+
+
 def test_table_cache_does_not_change_results():
     phi = parse_formula("<>p1 -> []p1")
     out = star(positive_embed(phi).positive_form).result
     assert varset(out) == {1}
     budget = SearchBudget(2, 2, 1, max_candidates=800)
-    cold = find_countermodel(out, budget, FS)
-    cache = {}
-    warm_a = find_countermodel(out, budget, FS, table_cache=cache)
-    warm_b = find_countermodel(out, budget, FS, table_cache=cache)
+    cold = cold_search(out, budget, FS)
+    # the keyword is still accepted, and ignored
+    warm_a = find_countermodel(out, budget, FS, table_cache={})
+    warm_b = find_countermodel(out, budget, FS)
     for result in (warm_a, warm_b):
         assert result.refuted == cold.refuted
         assert result.stats.models_tested == cold.stats.models_tested
         assert result.stats.stop == cold.stats.stop
-    assert cache  # the substituted output reuses cached family masks
+    assert search._TABLES  # the substituted output reuses cached family masks
 
 
 def test_refutable_corpus_is_deterministic_and_refutable():
@@ -288,7 +296,6 @@ def test_cap_equal_to_stream_length_reports_exhausted(shape, kind):
 
 def test_shared_table_cache_matches_cold_searches():
     rng = random.Random(17)
-    cache = {}
     runs = []
     for shape in ((2, 2, 2), (3, 2, 1), (2, 2, 1)):
         for kind in (FS, MIPC):
@@ -297,10 +304,13 @@ def test_shared_table_cache_matches_cold_searches():
                 runs.append((phi, SearchBudget(*shape, max_candidates=300), kind))
     out = star(positive_embed(parse_formula("<>p1 -> []p1")).positive_form).result
     runs.append((out, SearchBudget(2, 2, 1, max_candidates=800), FS))
-    for phi, budget, kind in runs + runs[::-1]:
-        warm = find_countermodel(phi, budget, kind, table_cache=cache)
-        assert reported(warm) == reported(find_countermodel(phi, budget, kind))
-    assert all(len(value) for value in cache.values())
+    cold = [reported(cold_search(*run)) for run in runs]
+    clear_caches()
+    for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
+        assert reported(find_countermodel(phi, budget, kind)) == want
+    assert search._TABLES
+    assert all(vals.chunks for vals in search._TABLES.values())
+    assert_cache_matches_fresh_tables()
 
 
 @pytest.mark.parametrize("depth", [1_500, 30_000])
@@ -387,7 +397,6 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
     # MIPC passes hold the total relation alone.  The cache then holds
     # distinct, overlapping groups of one frame.
     rng = random.Random(29)
-    cache = {}
     runs = []
     for shape in ((2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3),
                   (2, 2, 3)):
@@ -400,9 +409,121 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
             runs.append((parse_formula("p1 -> p2 -> p1"),
                          SearchBudget(*shape, max_candidates=40_000), kind))
     runs.append((parse_formula(PACKED_REFUTATIONS[0]), SearchBudget(2, 2, 1), FS))
-    for phi, budget, kind in runs + runs[::-1]:
-        warm = find_countermodel(phi, budget, kind, table_cache=cache)
-        assert reported(warm) == reported(find_countermodel(phi, budget, kind))
-    assert all(len(value) for value in cache.values())
-    assert any(a != b and set(a) & set(b)
-               for vals in cache.values() for a in vals.groups for b in vals.groups)
+    cold = [reported(cold_search(*run)) for run in runs]
+    clear_caches()
+    for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
+        assert reported(find_countermodel(phi, budget, kind)) == want
+    assert search._TABLES
+    assert all(vals.chunks for vals in search._TABLES.values())
+    assert any(a != b and set(a) & set(b) for vals in search._TABLES.values()
+               for a in vals.groups for b in vals.groups)
+    assert_cache_matches_fresh_tables()
+
+
+def retained():
+    """Everything the frame-table cache holds: entries, chunks, kept
+    relations and kept groups."""
+    return sum(1 + len(vals.chunks) + len(vals.groups)
+               + sum(len(known) for known, _ in vals.streams.values())
+               for vals in search._TABLES.values())
+
+
+def assert_cache_matches_fresh_tables():
+    """Every kept chunk and relation is the one a fresh build gives at its
+    place, and the kept streams continue at the next one; then empties
+    the cache, whose streams this has read from."""
+    for vals in search._TABLES.values():
+        fresh = search._Valuations(vals.frame, vals.var_bound)
+        more = fresh.valuations(0)
+        built = [fresh.chunk(more) for _ in range(len(vals.chunks) + 1)]
+        assert vals.chunks == built[:-1]
+        assert vals.chunk(vals.more) == built[-1]
+        for kind, (known, rest) in vals.streams.items():
+            stream = search._srel_stream(vals.frame, kind)
+            assert known == list(itertools.islice(stream, len(known)))
+            if rest is not None:
+                assert next(rest, None) == next(stream, None)
+    clear_caches()
+
+
+@pytest.mark.parametrize("kind", [FS, MIPC])
+def test_table_cache_stops_growing_after_keep_candidates(kind):
+    phi = parse_formula("p1 -> p1")
+    clear_caches()
+    short = find_countermodel(
+        phi, SearchBudget(3, 3, 2, max_candidates=2 * search._KEEP), kind)
+    assert short.stats.stop == "candidate-cap"
+    kept = retained()
+    assert kept > 0
+    long = find_countermodel(
+        phi, SearchBudget(3, 3, 2, max_candidates=500_000), kind)
+    assert long.stats.stop == "candidate-cap"
+    assert long.stats.models_tested == 500_000
+    assert retained() == kept
+    again = find_countermodel(
+        phi, SearchBudget(3, 3, 2, max_candidates=500_000), kind)
+    assert retained() == kept
+    assert reported(again) == reported(long)
+    assert_cache_matches_fresh_tables()
+    # a search that reads past the kept prefix counts as a cold one does
+    assert reported(long) == reported(cold_search(
+        phi, SearchBudget(3, 3, 2, max_candidates=500_000), kind))
+
+
+def test_clear_caches_empties_frame_tables_and_compile_memo():
+    phi = parse_formula("<>p1 -> []p1")
+    find_countermodel(phi, SearchBudget(2, 2, 1), FS)
+    model = next(enumerate_models(SearchBudget(1, 1, 1), FS))
+    truth_table(model, phi)
+    assert search._TABLES
+    assert _compile.cache_info().currsize > 0
+    clear_caches()
+    assert not search._TABLES
+    assert _compile.cache_info().currsize == 0
+
+
+def test_compile_memo_shares_immutable_code():
+    phi = parse_formula("(p1 -> <>p2) & []p1")
+    nodes, code = _compile(phi)
+    assert _compile(phi) is _compile(phi)
+    assert isinstance(nodes, tuple) and isinstance(code, tuple)
+    assert all(isinstance(instruction, tuple) for instruction in code)
+    assert nodes[-1] is phi
+
+
+def test_concurrent_searches_share_the_cache_safely():
+    # Threads interleave searches that read and extend the same frames'
+    # kept chunks and relation streams; a lost or reordered append would
+    # change a candidate count or a certificate.
+    rng = random.Random(41)
+    runs = [(random_formula(rng, max_depth=3, n_vars=shape[2]),
+             SearchBudget(*shape, max_candidates=3000), kind)
+            for shape in ((2, 2, 1), (2, 2, 2), (3, 2, 1))
+            for kind in (FS, MIPC) for _ in range(2)]
+    want = [reported(cold_search(*run)) for run in runs]
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(len(runs)):
+                i = (k + offset) % len(runs)
+                if reported(find_countermodel(*runs[i])) != want[i]:
+                    errors.append(i)
+        except Exception as err:  # reported through ``errors``
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_caches()
+        threads = [threading.Thread(target=worker, args=(3 * n,))
+                   for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert_cache_matches_fresh_tables()
