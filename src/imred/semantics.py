@@ -218,84 +218,83 @@ def validate_model(model: FiniteFSModel) -> list[Violation]:
     """Check every frame and valuation condition; empty list means valid.
 
     Violations are data, not exceptions; each names the condition and a
-    witnessing world/point.  Conditions: order reflexivity, transitivity
-    and antisymmetry; non-empty, monotone point sets; relations inside
-    and monotone over the point sets; valuations inside and monotone over
-    the point sets; and totality of the relations for MIPC models.
+    witnessing world/point.  Conditions, in the order they are reported:
+    order reflexivity, transitivity and antisymmetry; non-empty, monotone
+    point sets; relations inside and monotone over the point sets;
+    valuations inside and monotone over the point sets; and totality of
+    the relations for MIPC models.  Each world's up-set and pair space
+    are computed once, and witness text is built only for a failed
+    condition, so a valid model costs a few integer operations per
+    (world, successor) pair and condition.
     """
     out: list[Violation] = []
-    m = model
-    wn = m.world_names
-    pn = m.point_names
+    n_points, up, delta, srel = model.n_points, model.up, model.delta, model.srel
+    wn, pn = model.world_names, model.point_names
+    worlds = range(model.n_worlds)
+    ups = [list(bits_of(up[w])) for w in worlds]
+    spaces = [pair_space(delta[w], n_points) for w in worlds]
+
+    def points(mask: int) -> str:
+        return ", ".join(pn[x] for x in bits_of(mask))
 
     def pair_names(mask: int) -> str:
-        pairs = [(x, y) for x in range(m.n_points) for y in range(m.n_points)
-                 if (mask >> (x * m.n_points + y)) & 1]
+        pairs = [(x, y) for x in range(n_points) for y in range(n_points)
+                 if (mask >> (x * n_points + y)) & 1]
         return ", ".join(f"({pn[x]},{pn[y]})" for x, y in pairs) or "nothing"
 
-    for w in m.worlds():
-        if not (m.up[w] >> w) & 1:
+    for w in worlds:
+        if not (up[w] >> w) & 1:
             out.append(Violation("order reflexivity", f"world {wn[w]}"))
-    for w in m.worlds():
-        for v in bits_of(m.up[w]):
-            if m.up[v] & ~m.up[w]:
+    for w in worlds:
+        for v in ups[w]:
+            if up[v] & ~up[w]:
                 out.append(Violation(
                     "order transitivity",
                     f"{wn[w]} <= {wn[v]} but successors of {wn[v]} escape"))
-    for w in m.worlds():
-        for v in bits_of(m.up[w]):
-            if v != w and (m.up[v] >> w) & 1:
-                if w < v:
-                    out.append(Violation(
-                        "order antisymmetry", f"worlds {wn[w]} and {wn[v]}"))
-    for w in m.worlds():
-        if m.delta[w] == 0:
+    for w in worlds:
+        for v in ups[w]:
+            if v > w and (up[v] >> w) & 1:
+                out.append(Violation(
+                    "order antisymmetry", f"worlds {wn[w]} and {wn[v]}"))
+    for w in worlds:
+        if delta[w] == 0:
             out.append(Violation("point-set non-empty", f"world {wn[w]}"))
-    for w in m.worlds():
-        for v in bits_of(m.up[w]):
-            missing = m.delta[w] & ~m.delta[v]
-            if missing:
-                pts = ", ".join(pn[x] for x in bits_of(missing))
+    for w in worlds:
+        for v in ups[w]:
+            if missing := delta[w] & ~delta[v]:
                 out.append(Violation(
                     "point-set monotonicity",
-                    f"{wn[w]} <= {wn[v]} but {pts} missing at {wn[v]}"))
-    for w in m.worlds():
-        stray = m.srel[w] & ~pair_space(m.delta[w], m.n_points)
-        if stray:
+                    f"{wn[w]} <= {wn[v]} but {points(missing)} missing at {wn[v]}"))
+    for w in worlds:
+        if stray := srel[w] & ~spaces[w]:
             out.append(Violation(
                 "relation domain",
                 f"world {wn[w]} relates {pair_names(stray)} outside its points"))
-    for w in m.worlds():
-        for v in bits_of(m.up[w]):
-            lost = m.srel[w] & ~m.srel[v]
-            if lost:
+    for w in worlds:
+        for v in ups[w]:
+            if lost := srel[w] & ~srel[v]:
                 out.append(Violation(
                     "relation monotonicity",
                     f"{wn[w]} <= {wn[v]} but {pair_names(lost)} missing at {wn[v]}"))
-    for p in range(1, m.nvars + 1):
-        for w in m.worlds():
-            stray = m.val[p - 1][w] & ~m.delta[w]
-            if stray:
-                pts = ", ".join(pn[x] for x in bits_of(stray))
+    for p, row in enumerate(model.val[:model.nvars], 1):
+        for w in worlds:
+            if stray := row[w] & ~delta[w]:
                 out.append(Violation(
                     "valuation domain",
-                    f"V({wn[w]}, p{p}) contains {pts} outside the point set"))
-    for p in range(1, m.nvars + 1):
-        for w in m.worlds():
-            for v in bits_of(m.up[w]):
-                lost = m.val[p - 1][w] & ~m.val[p - 1][v]
-                if lost:
-                    pts = ", ".join(pn[x] for x in bits_of(lost))
+                    f"V({wn[w]}, p{p}) contains {points(stray)} outside the point set"))
+    for p, row in enumerate(model.val[:model.nvars], 1):
+        for w in worlds:
+            for v in ups[w]:
+                if lost := row[w] & ~row[v]:
                     out.append(Violation(
                         "valuation monotonicity",
-                        f"{wn[w]} <= {wn[v]} but {pts} leaves V(., p{p})"))
-    if m.kind == MIPC:
-        for w in m.worlds():
-            want = pair_space(m.delta[w], m.n_points)
-            if m.srel[w] != want:
+                        f"{wn[w]} <= {wn[v]} but {points(lost)} leaves V(., p{p})"))
+    if model.kind == MIPC:
+        for w in worlds:
+            if srel[w] != spaces[w]:
                 out.append(Violation(
                     "MIPC totality",
-                    f"world {wn[w]} misses {pair_names(want & ~m.srel[w])}"))
+                    f"world {wn[w]} misses {pair_names(spaces[w] & ~srel[w])}"))
     return out
 
 

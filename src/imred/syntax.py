@@ -231,105 +231,131 @@ _VAL_VAR = re.compile(r"p([1-9][0-9]*)\Z")
 _MAX_VAL_VAR = 10_000
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _new_point(point_ids: dict[str, int], tok: str, line_no: int) -> int:
+    # Called only for a token not yet in point_ids, so each id's name is
+    # checked once, when the id is assigned.
+    if _NAME.match(tok) is None:
+        raise ModelSyntaxError(f"bad point id {tok!r}", line_no)
+    got = point_ids[tok] = len(point_ids)
+    return got
+
+
+def _var_index(tok: str, line_no: int) -> int:
+    mvar = _VAL_VAR.match(tok)
+    if mvar is None:
+        raise ModelSyntaxError(f"bad variable token {tok!r}", line_no)
+    digits = mvar.group(1)
+    if len(digits) > len(str(_MAX_VAL_VAR)) or (p := int(digits)) > _MAX_VAL_VAR:
+        raise ModelSyntaxError(f"variable index above {_MAX_VAL_VAR}", line_no)
+    return p
 
 
 def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
-    """Read a model file, validate it, and return the model.
+    """Read a model file in one pass, validate it, and return the model.
 
     ``kind`` overrides any ``kind`` directive in the file; the default is
-    fs.  Raises :class:`ModelSyntaxError` for malformed input and
-    :class:`ModelValidationError` naming every violated frame or
-    valuation condition.
+    fs.  The line loop builds point sets and per-(variable, world)
+    valuation masks as it reads; relation masks follow once the point
+    count (the number of distinct point ids) is known.  Raises
+    :class:`ModelSyntaxError` at the first malformed line, checking its
+    argument count, then a ``val`` variable token and its cap, then world
+    names, then point ids; then :class:`ModelValidationError` naming
+    every condition :func:`semantics.validate_model` finds violated.
     """
+    lines = text.splitlines()
     world_ids: dict[str, int] = {}
     point_ids: dict[str, int] = {}
+    var_ids: dict[str, int] = {}
     order: list[tuple[int, int]] = []
-    points: dict[int, set[int]] = {}
-    srel: dict[int, set[tuple[int, int]]] = {}
-    val: dict[int, dict[int, set[int]]] = {}
+    delta: list[int] = []
+    pairs: list[tuple[int, int, int]] = []
+    vals: dict[tuple[int, int], int] = {}
     file_kind: str | None = None
-    refutes: tuple[str, str] | None = None
-
-    def world(tok: str, line_no: int) -> int:
-        got = world_ids.get(tok)
-        if got is None:
-            raise ModelSyntaxError(f"unknown world {tok!r}", line_no)
-        return got
-
-    def point(tok: str, line_no: int) -> int:
-        if _NAME.match(tok) is None:
-            raise ModelSyntaxError(f"bad point id {tok!r}", line_no)
-        got = point_ids.get(tok)
-        if got is None:
-            got = len(point_ids)
-            point_ids[tok] = got
-        return got
-
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        fields = _strip_comment(raw).split()
+    refutes = False
+    for line_no, raw in enumerate(lines, 1):
+        if "#" in raw:
+            raw = raw[:raw.find("#")]
+        fields = raw.split()
         if not fields:
             continue
-        directive, args = fields[0], fields[1:]
-        if directive == "kind":
-            if len(args) != 1 or args[0] not in semantics.KINDS:
-                raise ModelSyntaxError("expected 'kind fs' or 'kind mipc'", line_no)
-            file_kind = args[0]
-        elif directive == "world":
-            if len(args) != 1 or _NAME.match(args[0]) is None:
-                raise ModelSyntaxError("expected 'world <id>'", line_no)
-            if args[0] in world_ids:
-                raise ModelSyntaxError(f"world {args[0]!r} declared twice", line_no)
-            w = len(world_ids)
-            world_ids[args[0]] = w
-            points[w] = set()
-            srel[w] = set()
-        elif directive == "le":
-            if len(args) != 2:
-                raise ModelSyntaxError("expected 'le <world> <world>'", line_no)
-            order.append((world(args[0], line_no), world(args[1], line_no)))
-        elif directive == "point":
-            if len(args) != 2:
-                raise ModelSyntaxError("expected 'point <world> <id>'", line_no)
-            points[world(args[0], line_no)].add(point(args[1], line_no))
-        elif directive == "s":
-            if len(args) != 3:
+        directive = fields[0]
+        if directive == "s":
+            if len(fields) != 4:
                 raise ModelSyntaxError("expected 's <world> <id> <id>'", line_no)
-            srel[world(args[0], line_no)].add(
-                (point(args[1], line_no), point(args[2], line_no)))
+            _, wtok, xtok, ytok = fields
+            if (w := world_ids.get(wtok)) is None:
+                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
+            if (x := point_ids.get(xtok)) is None:
+                x = _new_point(point_ids, xtok, line_no)
+            if (y := point_ids.get(ytok)) is None:
+                y = _new_point(point_ids, ytok, line_no)
+            pairs.append((w, x, y))
         elif directive == "val":
-            if len(args) != 3:
+            if len(fields) != 4:
                 raise ModelSyntaxError("expected 'val <world> p<k> <point>'", line_no)
-            mvar = _VAL_VAR.match(args[1])
-            if mvar is None:
-                raise ModelSyntaxError(f"bad variable token {args[1]!r}", line_no)
-            digits = mvar.group(1)
-            if len(digits) > len(str(_MAX_VAL_VAR)) or \
-                    (p := int(digits)) > _MAX_VAL_VAR:
-                raise ModelSyntaxError(
-                    f"variable index above {_MAX_VAL_VAR}", line_no)
-            val.setdefault(p, {}).setdefault(world(args[0], line_no), set()).add(
-                point(args[2], line_no))
+            _, wtok, ptok, xtok = fields
+            if (p := var_ids.get(ptok)) is None:
+                p = var_ids[ptok] = _var_index(ptok, line_no)
+            if (w := world_ids.get(wtok)) is None:
+                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
+            if (x := point_ids.get(xtok)) is None:
+                x = _new_point(point_ids, xtok, line_no)
+            key = (p, w)
+            vals[key] = vals.get(key, 0) | 1 << x
+        elif directive == "point":
+            if len(fields) != 3:
+                raise ModelSyntaxError("expected 'point <world> <id>'", line_no)
+            _, wtok, xtok = fields
+            if (w := world_ids.get(wtok)) is None:
+                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
+            if (x := point_ids.get(xtok)) is None:
+                x = _new_point(point_ids, xtok, line_no)
+            delta[w] |= 1 << x
+        elif directive == "world":
+            if len(fields) != 2 or _NAME.match(fields[1]) is None:
+                raise ModelSyntaxError("expected 'world <id>'", line_no)
+            if fields[1] in world_ids:
+                raise ModelSyntaxError(f"world {fields[1]!r} declared twice", line_no)
+            world_ids[fields[1]] = len(delta)
+            delta.append(0)
+        elif directive == "le":
+            if len(fields) != 3:
+                raise ModelSyntaxError("expected 'le <world> <world>'", line_no)
+            for tok in fields[1:]:
+                if tok not in world_ids:
+                    raise ModelSyntaxError(f"unknown world {tok!r}", line_no)
+            order.append((world_ids[fields[1]], world_ids[fields[2]]))
+        elif directive == "kind":
+            if len(fields) != 2 or fields[1] not in semantics.KINDS:
+                raise ModelSyntaxError("expected 'kind fs' or 'kind mipc'", line_no)
+            file_kind = fields[1]
         elif directive == "refutes":
-            if len(args) != 2:
+            if len(fields) != 3:
                 raise ModelSyntaxError("expected 'refutes <world> <point>'", line_no)
-            refutes = (args[0], args[1])
+            refutes = True
         else:
             raise ModelSyntaxError(f"unknown directive {directive!r}", line_no)
-    if refutes is not None:
+    if refutes:
         raise ModelSyntaxError(
             "'refutes' trailer is only allowed in certificates "
-            "(use parse_certificate)", len(text.splitlines()))
+            "(use parse_certificate)", len(lines))
     if not world_ids:
-        raise ModelSyntaxError("model declares no worlds", max(1, len(text.splitlines())))
-    model = semantics.build_model(
-        kind=kind if kind is not None else (file_kind or semantics.FS),
-        n_worlds=len(world_ids), order=order, points=points, srel=srel,
-        val=val,
-        world_names=tuple(sorted(world_ids, key=world_ids.get)),
-        point_names=tuple(sorted(point_ids, key=point_ids.get)) or ("x0",))
+        raise ModelSyntaxError("model declares no worlds", max(1, len(lines)))
+    kind = kind if kind is not None else (file_kind or semantics.FS)
+    if kind not in semantics.KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    n_worlds, n_points = len(delta), max(1, len(point_ids))
+    srel = [0] * n_worlds
+    for w, x, y in pairs:
+        srel[w] |= 1 << (x * n_points + y)
+    nvars = max(var_ids.values(), default=0)
+    model = FiniteFSModel(
+        kind=kind, n_worlds=n_worlds, n_points=n_points,
+        up=semantics.transitive_up(n_worlds, order), delta=tuple(delta),
+        srel=tuple(srel), nvars=nvars,
+        val=tuple(tuple(vals.get((p, w), 0) for w in range(n_worlds))
+                  for p in range(1, nvars + 1)),
+        world_names=tuple(world_ids), point_names=tuple(point_ids) or ("x0",))
     violations = semantics.validate_model(model)
     if violations:
         raise ModelValidationError(violations)
@@ -384,24 +410,26 @@ def print_certificate(model: FiniteFSModel, w: int, x: int) -> str:
 
 
 def parse_certificate(text: str) -> tuple[FiniteFSModel, int, int]:
-    """Read a certificate: a model file with one ``refutes`` trailer."""
+    """Read a certificate: a model file with one ``refutes`` trailer.
+
+    The trailer may stand on any line; errors carry the file's line
+    numbers, because the model is read with the trailer line blanked.
+    """
     lines = text.splitlines()
     trailer = None
-    body = []
     for line_no, raw in enumerate(lines, 1):
-        fields = _strip_comment(raw).split()
+        fields = raw.partition("#")[0].split()
         if fields and fields[0] == "refutes":
             if trailer is not None:
                 raise ModelSyntaxError("duplicate 'refutes' trailer", line_no)
             if len(fields) != 3:
                 raise ModelSyntaxError("expected 'refutes <world> <point>'", line_no)
             trailer = (fields[1], fields[2], line_no)
-        else:
-            body.append(raw)
+            lines[line_no - 1] = ""
     if trailer is None:
         raise ModelSyntaxError("certificate lacks a 'refutes' trailer",
                                max(1, len(lines)))
-    model = parse_model("\n".join(body))
+    model = parse_model("".join(line + "\n" for line in lines))
     wname, xname, line_no = trailer
     try:
         w = model.world_names.index(wname)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from imred.corpus import random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            varset)
 from imred.semantics import (FS, MIPC, TableContext, ValuationBudgetError,
-                             bits_of, build_model, eval_formula,
+                             Violation, bits_of, build_model, eval_formula,
                              eval_formula_plain, iter_monotone_valuations,
-                             true_in_model, truth_table, valid_on_frame,
-                             validate_model)
+                             pair_space, true_in_model, truth_table,
+                             valid_on_frame, validate_model)
 
 
 def single_world(srel=(), val=None, kind=FS, points=(0,)):
@@ -293,3 +294,118 @@ def test_declared_order_against_ids_with_growing_relation():
         phi = parse_formula(text)
         assert eval_formula_plain(model, w, pt, phi) is want, text
         assert eval_formula(model, w, pt, phi) is want, text
+
+
+def reference_validate_model(model):
+    """The validator before it computed up-lists and pair spaces once:
+    every condition re-walks the up-sets with ``bits_of``."""
+    out = []
+    m = model
+    wn = m.world_names
+    pn = m.point_names
+
+    def pair_names(mask):
+        pairs = [(x, y) for x in range(m.n_points) for y in range(m.n_points)
+                 if (mask >> (x * m.n_points + y)) & 1]
+        return ", ".join(f"({pn[x]},{pn[y]})" for x, y in pairs) or "nothing"
+
+    for w in m.worlds():
+        if not (m.up[w] >> w) & 1:
+            out.append(Violation("order reflexivity", f"world {wn[w]}"))
+    for w in m.worlds():
+        for v in bits_of(m.up[w]):
+            if m.up[v] & ~m.up[w]:
+                out.append(Violation(
+                    "order transitivity",
+                    f"{wn[w]} <= {wn[v]} but successors of {wn[v]} escape"))
+    for w in m.worlds():
+        for v in bits_of(m.up[w]):
+            if v != w and (m.up[v] >> w) & 1:
+                if w < v:
+                    out.append(Violation(
+                        "order antisymmetry", f"worlds {wn[w]} and {wn[v]}"))
+    for w in m.worlds():
+        if m.delta[w] == 0:
+            out.append(Violation("point-set non-empty", f"world {wn[w]}"))
+    for w in m.worlds():
+        for v in bits_of(m.up[w]):
+            missing = m.delta[w] & ~m.delta[v]
+            if missing:
+                pts = ", ".join(pn[x] for x in bits_of(missing))
+                out.append(Violation(
+                    "point-set monotonicity",
+                    f"{wn[w]} <= {wn[v]} but {pts} missing at {wn[v]}"))
+    for w in m.worlds():
+        stray = m.srel[w] & ~pair_space(m.delta[w], m.n_points)
+        if stray:
+            out.append(Violation(
+                "relation domain",
+                f"world {wn[w]} relates {pair_names(stray)} outside its points"))
+    for w in m.worlds():
+        for v in bits_of(m.up[w]):
+            lost = m.srel[w] & ~m.srel[v]
+            if lost:
+                out.append(Violation(
+                    "relation monotonicity",
+                    f"{wn[w]} <= {wn[v]} but {pair_names(lost)} missing at {wn[v]}"))
+    for p in range(1, m.nvars + 1):
+        for w in m.worlds():
+            stray = m.val[p - 1][w] & ~m.delta[w]
+            if stray:
+                pts = ", ".join(pn[x] for x in bits_of(stray))
+                out.append(Violation(
+                    "valuation domain",
+                    f"V({wn[w]}, p{p}) contains {pts} outside the point set"))
+    for p in range(1, m.nvars + 1):
+        for w in m.worlds():
+            for v in bits_of(m.up[w]):
+                lost = m.val[p - 1][w] & ~m.val[p - 1][v]
+                if lost:
+                    pts = ", ".join(pn[x] for x in bits_of(lost))
+                    out.append(Violation(
+                        "valuation monotonicity",
+                        f"{wn[w]} <= {wn[v]} but {pts} leaves V(., p{p})"))
+    if m.kind == MIPC:
+        for w in m.worlds():
+            want = pair_space(m.delta[w], m.n_points)
+            if m.srel[w] != want:
+                out.append(Violation(
+                    "MIPC totality",
+                    f"world {wn[w]} misses {pair_names(want & ~m.srel[w])}"))
+    return out
+
+
+def flip_bits(rng, model, field, count):
+    """``model`` with ``count`` random in-range bits of one field flipped."""
+    n, P = model.n_worlds, model.n_points
+    up, delta, srel = list(model.up), list(model.delta), list(model.srel)
+    val = [list(row) for row in model.val]
+    for _ in range(count):
+        w = rng.randrange(n)
+        if field == "up":
+            up[w] ^= 1 << rng.randrange(n)
+        elif field == "delta":
+            delta[w] ^= 1 << rng.randrange(P)
+        elif field == "srel":
+            srel[w] ^= 1 << rng.randrange(P * P)
+        else:
+            val[rng.randrange(model.nvars)][w] ^= 1 << rng.randrange(P)
+    return dataclasses.replace(model, up=tuple(up), delta=tuple(delta),
+                               srel=tuple(srel),
+                               val=tuple(tuple(row) for row in val))
+
+
+def test_validate_model_matches_reference_on_flipped_bits():
+    rng = random.Random(7)
+    invalid = several = 0
+    for seed in range(300):
+        for kind in (FS, MIPC):
+            model = seeded_model(seed, max_worlds=4, max_points=3, kind=kind)
+            assert validate_model(model) == reference_validate_model(model) == []
+            for field in ("up", "delta", "srel", "val"):
+                bad = flip_bits(rng, model, field, rng.randint(1, 4))
+                got = validate_model(bad)
+                assert got == reference_validate_model(bad), (seed, kind, field)
+                invalid += bool(got)
+                several += len(got) > len({v.condition for v in got})
+    assert invalid > 1500 and several > 500

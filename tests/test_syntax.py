@@ -1,21 +1,23 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import formulas
-from imred.corpus import formula_with_length
+from imred.corpus import formula_with_length, random_model
 from imred.formula import (BOTTOM, IMP, And, Box, Diamond, Formula, Implies,
                            Or, Var)
 from imred import semantics
 from imred.reduction import family_formula, ground_formulas
 from imred.semantics import MIPC, validate_model
-from imred.syntax import (FormulaSyntaxError, ModelSyntaxError,
-                          ModelValidationError, SourceSpan, parse_certificate,
-                          parse_formula, parse_model, print_certificate,
-                          print_formula, print_model)
+from imred.syntax import (_MAX_VAL_VAR, _NAME, _VAL_VAR, FormulaSyntaxError,
+                          ModelSyntaxError, ModelValidationError, SourceSpan,
+                          parse_certificate, parse_formula, parse_model,
+                          print_certificate, print_formula, print_model)
+from test_semantics import reference_validate_model
 
 
 def test_parse_examples():
@@ -254,19 +256,230 @@ def test_oversized_variable_index_is_a_syntax_error(int_digit_limit):
     assert parse_formula("p" + "9" * 4300) is Var(int("9" * 4300))
 
 
-def test_model_variable_index_is_capped_before_rows_are_built(monkeypatch):
-    def refuse(**kwargs):
-        raise AssertionError("valuation rows built for an oversized index")
-
+def test_model_variable_index_is_capped_before_rows_are_built():
+    # The cap is checked on the val line itself: a malformed line after it
+    # is never reached, and no valuation rows are allocated for the index.
     for index in ("1" * 5000, "10001", "99999"):
-        monkeypatch.setattr(semantics, "build_model", refuse)
-        with pytest.raises(ModelSyntaxError) as err:
-            parse_model(f"world a\npoint a x\nval a p{index} x\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelSyntaxError) as err:
+                parse_model(f"world a\npoint a x\nval a p{index} x\nbogus line\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert err.value.line_no == 3
         assert err.value.reason == "variable index above 10000"
-    monkeypatch.undo()
+        assert peak < 256 * 1024
     model = parse_model("world a\npoint a x\nval a p10000 x\n")
     assert model.nvars == 10_000 and model.val[-1] == (1,)
+
+
+def reference_parse_model(text, kind=None):
+    """The reader before the one-pass rewrite: sets of tuples first, then
+    ``build_model`` and the reference validator."""
+    world_ids, point_ids = {}, {}
+    order, points, srel, val = [], {}, {}, {}
+    file_kind = refutes = None
+
+    def world(tok, line_no):
+        got = world_ids.get(tok)
+        if got is None:
+            raise ModelSyntaxError(f"unknown world {tok!r}", line_no)
+        return got
+
+    def point(tok, line_no):
+        if _NAME.match(tok) is None:
+            raise ModelSyntaxError(f"bad point id {tok!r}", line_no)
+        got = point_ids.get(tok)
+        if got is None:
+            got = len(point_ids)
+            point_ids[tok] = got
+        return got
+
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        cut = raw.find("#")
+        fields = (raw if cut < 0 else raw[:cut]).split()
+        if not fields:
+            continue
+        directive, args = fields[0], fields[1:]
+        if directive == "kind":
+            if len(args) != 1 or args[0] not in semantics.KINDS:
+                raise ModelSyntaxError("expected 'kind fs' or 'kind mipc'", line_no)
+            file_kind = args[0]
+        elif directive == "world":
+            if len(args) != 1 or _NAME.match(args[0]) is None:
+                raise ModelSyntaxError("expected 'world <id>'", line_no)
+            if args[0] in world_ids:
+                raise ModelSyntaxError(f"world {args[0]!r} declared twice", line_no)
+            w = len(world_ids)
+            world_ids[args[0]] = w
+            points[w] = set()
+            srel[w] = set()
+        elif directive == "le":
+            if len(args) != 2:
+                raise ModelSyntaxError("expected 'le <world> <world>'", line_no)
+            order.append((world(args[0], line_no), world(args[1], line_no)))
+        elif directive == "point":
+            if len(args) != 2:
+                raise ModelSyntaxError("expected 'point <world> <id>'", line_no)
+            points[world(args[0], line_no)].add(point(args[1], line_no))
+        elif directive == "s":
+            if len(args) != 3:
+                raise ModelSyntaxError("expected 's <world> <id> <id>'", line_no)
+            srel[world(args[0], line_no)].add(
+                (point(args[1], line_no), point(args[2], line_no)))
+        elif directive == "val":
+            if len(args) != 3:
+                raise ModelSyntaxError("expected 'val <world> p<k> <point>'", line_no)
+            mvar = _VAL_VAR.match(args[1])
+            if mvar is None:
+                raise ModelSyntaxError(f"bad variable token {args[1]!r}", line_no)
+            digits = mvar.group(1)
+            if len(digits) > len(str(_MAX_VAL_VAR)) or \
+                    (p := int(digits)) > _MAX_VAL_VAR:
+                raise ModelSyntaxError(
+                    f"variable index above {_MAX_VAL_VAR}", line_no)
+            val.setdefault(p, {}).setdefault(world(args[0], line_no), set()).add(
+                point(args[2], line_no))
+        elif directive == "refutes":
+            if len(args) != 2:
+                raise ModelSyntaxError("expected 'refutes <world> <point>'", line_no)
+            refutes = (args[0], args[1])
+        else:
+            raise ModelSyntaxError(f"unknown directive {directive!r}", line_no)
+    if refutes is not None:
+        raise ModelSyntaxError(
+            "'refutes' trailer is only allowed in certificates "
+            "(use parse_certificate)", len(text.splitlines()))
+    if not world_ids:
+        raise ModelSyntaxError("model declares no worlds", max(1, len(text.splitlines())))
+    model = semantics.build_model(
+        kind=kind if kind is not None else (file_kind or semantics.FS),
+        n_worlds=len(world_ids), order=order, points=points, srel=srel,
+        val=val,
+        world_names=tuple(sorted(world_ids, key=world_ids.get)),
+        point_names=tuple(sorted(point_ids, key=point_ids.get)) or ("x0",))
+    violations = reference_validate_model(model)
+    if violations:
+        raise ModelValidationError(violations)
+    return model
+
+
+def outcome(parse, text, kind=None):
+    """The model ``parse`` returns, or what identifies the error it raises."""
+    try:
+        return parse(text, kind)
+    except ModelSyntaxError as err:
+        return "syntax", err.reason, err.line_no
+    except ModelValidationError as err:
+        return "validation", err.violations
+    except ValueError as err:
+        return "value", str(err)
+
+
+def printed_models(seeds):
+    """Seeded random models of both kinds, printed as model files."""
+    for seed in seeds:
+        for kind in ("fs", "mipc"):
+            model = random_model(random.Random(seed), max_worlds=4,
+                                 max_points=3, n_vars=3, kind=kind)
+            yield print_model(model)
+
+
+def test_parse_model_matches_reference_on_printed_models():
+    for text in printed_models(range(300)):
+        model = parse_model(text)
+        assert model == reference_parse_model(text)
+        for kind in ("fs", "mipc"):
+            assert outcome(parse_model, text, kind) == \
+                outcome(reference_parse_model, text, kind)
+
+
+# Replacement tokens for the mutations below: junk, bad and oversized
+# variables, unknown and fresh names, and names of the printed models.
+_JUNK = ["", "#", "x@1", "é", "a.b-c_9", "zz", "w0", "w1", "x0", "x2", "p0",
+         "p01", "p2", "p10001", "p" + "9" * 7, "P1", "px", "-", "fs", "mipc",
+         "kind", "world", "le", "point", "s", "val", "refutes"]
+# Positions of point tokens in each directive.
+_POINT_AT = {"point": [2], "s": [2, 3], "val": [3]}
+_VARS = ["p0", "p1", "p3", "p9", "p10001", "p99999", "p" + "1" * 20, "px",
+         "p", "q1", "p10000"]
+
+
+def mutate(rng, lines):
+    """One to three seeded line mutations of a model file's lines."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        line = lines[i] if i < len(lines) else ""
+        toks = line.split()
+        op = rng.randrange(12)
+        if op == 0 and i < len(lines):
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, line)
+        elif op == 2 and lines:
+            j = rng.randrange(len(lines))
+            lines[i - 1], lines[j] = lines[j], lines[i - 1]
+        elif op == 3 and toks:
+            toks[rng.randrange(len(toks))] = rng.choice(_JUNK)
+            lines[i] = " ".join(toks)
+        elif op == 4 and len(toks) > 1:
+            toks[rng.randrange(1, len(toks))] = rng.choice(["nowhere", "fresh"])
+            lines[i] = " ".join(toks)
+        elif op == 5 and toks:
+            toks = toks[:-1] if rng.random() < 0.5 else toks + [rng.choice(_JUNK) or "x"]
+            lines[i] = " ".join(toks)
+        elif op == 6:
+            cut = rng.randrange(len(line) + 1)
+            lines.insert(i, line[:cut] + "#" + line[cut:] + rng.choice(["", " note"]))
+        elif op == 7:
+            lines.insert(i, rng.choice(["", "   ", "\t", "# comment", "  # x y"]))
+        elif op == 8:
+            lines.insert(i, rng.choice(["refutes w0 x0", "refutes w0", "refutes"]))
+        elif op == 9:
+            where = [k for k, text in enumerate(lines) if text.startswith("val ")]
+            if where:
+                k = rng.choice(where)
+                toks = lines[k].split()
+                toks[2] = rng.choice(_VARS)
+                lines[k] = " ".join(toks)
+        elif op == 10 and toks and toks[0] == "le":
+            lines[i] = f"le {toks[-1]} {toks[1]}"
+        elif op == 11 and toks and toks[0] in _POINT_AT:
+            k = rng.choice(_POINT_AT[toks[0]])
+            if k < len(toks):
+                toks[k] = rng.choice(["x@1", "é", "x/0", "fresh", "x0", "x1"])
+                lines[i] = " ".join(toks)
+    sep = rng.choice(["\n", "\r\n"])
+    return sep.join(lines) + rng.choice(["", sep, sep + sep])
+
+
+def test_parse_model_matches_reference_on_mutated_files():
+    rng = random.Random(2024)
+    kinds = {}
+    for text in printed_models(range(100)):
+        lines = text.splitlines()
+        for _ in range(20):
+            mutant = mutate(rng, lines)
+            kind = rng.choice([None, None, "fs", "mipc"])
+            got = outcome(parse_model, mutant, kind)
+            assert got == outcome(reference_parse_model, mutant, kind), mutant
+            tag = got[0] if isinstance(got, tuple) else "model"
+            kinds[tag] = kinds.get(tag, 0) + 1
+    assert kinds["model"] > 300 and kinds["syntax"] > 1500 and \
+        kinds["validation"] > 300, kinds
+
+
+def test_parse_model_matches_reference_on_edge_files():
+    for text in ["", "\n", "# only a comment", "world a", "world a\nrefutes a x",
+                 "refutes a x\nworld a\npoint a x", "point a x\nworld a",
+                 "world a\npoint a x\ns a x y\ns a y nowhere@",
+                 "world a\nval a p2 x\npoint a x", "world a\npoint a b#c\n",
+                 "world a\x0cpoint a x\x1cval a p1 x", "kind mipc\nworld a"]:
+        for kind in (None, "fs", "mipc", "bogus"):
+            assert outcome(parse_model, text, kind) == \
+                outcome(reference_parse_model, text, kind), (text, kind)
 
 
 def test_model_round_trip():
@@ -306,3 +519,24 @@ def test_certificate_round_trip():
         parse_model(text)  # trailer only allowed in certificates
     with pytest.raises(ModelSyntaxError):
         parse_certificate(print_model(model))  # trailer required
+
+
+def test_certificate_errors_carry_file_line_numbers():
+    body = ["world a", "point a x", "", "bogus line", "point a y"]
+    want = parse_model("world a\npoint a x\npoint a y\n")
+    for at in (0, 2, 4, 5):
+        lines = body[:at] + ["refutes a x  # trailer"] + body[at:]
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_certificate("\n".join(lines) + "\n")
+        assert err.value.reason == "unknown directive 'bogus'"
+        assert err.value.line_no == lines.index("bogus line") + 1
+        good = [line for line in lines if line != "bogus line"]
+        assert parse_certificate("\r\n".join(good)) == (want, 0, 0)
+        stray = [line.replace(" x ", " z ") for line in good]
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_certificate("\n".join(stray))
+        assert err.value.reason == "unknown point 'z'"
+        assert err.value.line_no == good.index(lines[at]) + 1
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_certificate("refutes a x\n\n# no worlds\n")
+    assert (err.value.reason, err.value.line_no) == ("model declares no worlds", 3)
