@@ -2,10 +2,13 @@
 
 Nodes are hash-consed: every constructor interns the node it returns, so
 structurally equal terms are the same Python object and repeated subterms
-share storage.  Per-node metrics (symbol length, modal depth, expanded
-tree size, variable set, positivity) are computed once at construction
-and stay O(1) to read even when the fully expanded tree would be far too
-large to materialise.
+share storage.  Each arity has its own interning constructor, keyed
+(kind, var), (kind, child) or (kind, left, right) by the child nodes
+themselves, which hash and compare by identity; every map over nodes is
+keyed by the node.  Per-node metrics (symbol length, modal depth,
+expanded tree size, variable set, positivity) are computed once at
+construction and stay O(1) to read even when the fully expanded tree
+would be far too large to materialise.
 
 Variable indices start at 1.  The symbol-length measure charges 1 for
 every connective or constant occurrence and 1 + ceil(log2(i + 1)) for an
@@ -24,9 +27,6 @@ OR = "or"
 IMP = "imp"
 DIA = "dia"
 BOX = "box"
-
-BINARY_KINDS = (AND, OR, IMP)
-UNARY_KINDS = (DIA, BOX)
 
 
 class Formula:
@@ -64,52 +64,73 @@ class Formula:
         return self
 
 
-_table: dict[tuple[str, int, int, int], Formula] = {}
+_table: dict[tuple, Formula] = {}
 _cache_clearers: list = []
 
 
-def _node(kind: str, var: int = 0, left: Formula | None = None,
-          right: Formula | None = None) -> Formula:
-    key = (kind, var, id(left), id(right))
+def _leaf(kind: str, var: int) -> Formula:
+    key = (kind, var)
     hit = _table.get(key)
     if hit is not None:
         return hit
     n = object.__new__(Formula)
     n.kind = kind
     n.var = var
-    n.left = left
-    n.right = right
+    n.left = n.right = None
+    n.mdepth = 0
+    n.tree_size = 1
     if kind == VAR:
         n.length = 1 + var.bit_length()
-        n.mdepth = 0
-        n.tree_size = 1
         n.vars = frozenset((var,))
         n.positive = True
-    elif kind == BOT:
+    else:
         n.length = 1
-        n.mdepth = 0
-        n.tree_size = 1
         n.vars = frozenset()
         n.positive = False
-    elif kind in UNARY_KINDS:
-        n.length = 1 + left.length
-        n.mdepth = 1 + left.mdepth
-        n.tree_size = 1 + left.tree_size
-        n.vars = left.vars
-        n.positive = left.positive
-    else:
-        n.length = 1 + left.length + right.length
-        n.mdepth = max(left.mdepth, right.mdepth)
-        n.tree_size = 1 + left.tree_size + right.tree_size
-        lv, rv = left.vars, right.vars
-        if rv <= lv:
-            n.vars = lv
-        elif lv <= rv:
-            n.vars = rv
-        else:
-            n.vars = lv | rv
-        n.positive = left.positive and right.positive
     # setdefault keeps identity deterministic if two threads race here
+    return _table.setdefault(key, n)
+
+
+def _unary(kind: str, child: Formula) -> Formula:
+    key = (kind, child)
+    hit = _table.get(key)
+    if hit is not None:
+        return hit
+    n = object.__new__(Formula)
+    n.kind = kind
+    n.var = 0
+    n.left = child
+    n.right = None
+    n.length = 1 + child.length
+    n.mdepth = 1 + child.mdepth
+    n.tree_size = 1 + child.tree_size
+    n.vars = child.vars
+    n.positive = child.positive
+    return _table.setdefault(key, n)
+
+
+def _binary(kind: str, left: Formula, right: Formula) -> Formula:
+    key = (kind, left, right)
+    hit = _table.get(key)
+    if hit is not None:
+        return hit
+    n = object.__new__(Formula)
+    n.kind = kind
+    n.var = 0
+    n.left = left
+    n.right = right
+    n.length = 1 + left.length + right.length
+    ld, rd = left.mdepth, right.mdepth
+    n.mdepth = ld if ld >= rd else rd
+    n.tree_size = 1 + left.tree_size + right.tree_size
+    lv, rv = left.vars, right.vars
+    if rv <= lv:
+        n.vars = lv
+    elif lv <= rv:
+        n.vars = rv
+    else:
+        n.vars = lv | rv
+    n.positive = left.positive and right.positive
     return _table.setdefault(key, n)
 
 
@@ -122,30 +143,30 @@ def _check(phi: object) -> Formula:
 def Var(index: int) -> Formula:
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise ValueError(f"variable index must be an integer >= 1, got {index!r}")
-    return _node(VAR, index)
+    return _leaf(VAR, index)
 
 
-BOTTOM: Formula = _node(BOT)
+BOTTOM: Formula = _leaf(BOT, 0)
 
 
 def And(left: Formula, right: Formula) -> Formula:
-    return _node(AND, 0, _check(left), _check(right))
+    return _binary(AND, _check(left), _check(right))
 
 
 def Or(left: Formula, right: Formula) -> Formula:
-    return _node(OR, 0, _check(left), _check(right))
+    return _binary(OR, _check(left), _check(right))
 
 
 def Implies(left: Formula, right: Formula) -> Formula:
-    return _node(IMP, 0, _check(left), _check(right))
+    return _binary(IMP, _check(left), _check(right))
 
 
 def Diamond(child: Formula) -> Formula:
-    return _node(DIA, 0, _check(child))
+    return _unary(DIA, _check(child))
 
 
 def Box(child: Formula) -> Formula:
-    return _node(BOX, 0, _check(child))
+    return _unary(BOX, _check(child))
 
 
 def mdepth(phi: Formula) -> int:
@@ -179,63 +200,58 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     Each node comes once, as soon as its last child is done, left
     subtrees before right ones; ``phi`` itself comes last.
     """
-    done: set[int] = set()
+    done: set[Formula] = set()
     out: list[Formula] = []
     stack = [(_check(phi), False)]
     while stack:
         node, ready = stack.pop()
         if ready:
-            done.add(id(node))
+            done.add(node)
             out.append(node)
-        elif id(node) not in done:
+        elif node not in done:
             stack.append((node, True))
-            if node.right is not None and id(node.right) not in done:
+            if node.right is not None and node.right not in done:
                 stack.append((node.right, False))
-            if node.left is not None and id(node.left) not in done:
+            if node.left is not None and node.left not in done:
                 stack.append((node.left, False))
     return iter(out)
 
 
-def _rebuild(phi: Formula, at_var, at_bot) -> Formula:
-    """Bottom-up map over the DAG; ``at_var``/``at_bot`` supply leaf images."""
-    memo: dict[int, Formula] = {}
+def _rebuild(phi: Formula, leaf_image) -> Formula:
+    """Bottom-up map over the DAG; ``leaf_image`` maps each leaf node.
+
+    Leaves are mapped when first met, so only inner nodes are stacked; a
+    node whose children map to themselves keeps its identity.
+    """
+    if phi.left is None:
+        return leaf_image(phi)
+    memo: dict[Formula, Formula] = {}
     stack = [phi]
     while stack:
         node = stack[-1]
-        nid = id(node)
-        if nid in memo:
-            stack.pop()
-            continue
-        kind = node.kind
-        if kind == VAR:
-            memo[nid] = at_var(node)
-            stack.pop()
-        elif kind == BOT:
-            memo[nid] = at_bot(node)
-            stack.pop()
-        elif kind in UNARY_KINDS:
-            child = node.left
-            got = memo.get(id(child))
-            if got is None and id(child) not in memo:
-                stack.append(child)
-                continue
-            stack.pop()
-            memo[nid] = node if got is child else _node(kind, 0, got)
-        else:
-            left, right = node.left, node.right
-            missing = False
-            if id(left) not in memo:
+        left, right = node.left, node.right
+        nl = memo.get(left)
+        if nl is None and left.left is None:
+            nl = memo[left] = leaf_image(left)
+        if right is None:
+            if nl is None:
                 stack.append(left)
-                missing = True
-            if id(right) not in memo:
-                stack.append(right)
-                missing = True
-            if missing:
                 continue
             stack.pop()
-            nl, nr = memo[id(left)], memo[id(right)]
-            memo[nid] = node if (nl is left and nr is right) else _node(kind, 0, nl, nr)
-    return memo[id(phi)]
+            memo[node] = node if nl is left else _unary(node.kind, nl)
+            continue
+        nr = memo.get(right)
+        if nr is None and right.left is None:
+            nr = memo[right] = leaf_image(right)
+        if nl is None or nr is None:
+            if nr is None:
+                stack.append(right)
+            if nl is None:
+                stack.append(left)
+            continue
+        stack.pop()
+        memo[node] = node if (nl is left and nr is right) else _binary(node.kind, nl, nr)
+    return memo[phi]
 
 
 def substitute(phi: Formula, bindings: Mapping[int, Formula]) -> Formula:
@@ -252,14 +268,15 @@ def substitute(phi: Formula, bindings: Mapping[int, Formula]) -> Formula:
         if not isinstance(index, int) or index < 1:
             raise ValueError(f"bad binding key {index!r}: variable indices are integers >= 1")
         _check(image)
-    return _rebuild(phi, lambda n: bindings.get(n.var, n), lambda n: n)
+    # false has var 0, which no binding key equals
+    return _rebuild(phi, lambda n: bindings.get(n.var, n))
 
 
 def replace_bottom(phi: Formula, image: Formula) -> Formula:
     """Replace every occurrence of the constant false by ``image``."""
     _check(phi)
     _check(image)
-    return _rebuild(phi, lambda n: n, lambda n: image)
+    return _rebuild(phi, lambda n: image if n.kind == BOT else n)
 
 
 def diamond_chain_le(m: int, psi: Formula) -> Formula:
@@ -278,10 +295,10 @@ def _chain(m: int, psi: Formula, modal: str, join: str) -> Formula:
     _check(psi)
     tower = [psi]
     for _ in range(m):
-        tower.append(_node(modal, 0, tower[-1]))
+        tower.append(_unary(modal, tower[-1]))
     acc = tower[-1]
     for part in reversed(tower[:-1]):
-        acc = _node(join, 0, part, acc)
+        acc = _binary(join, part, acc)
     return acc
 
 
@@ -289,15 +306,15 @@ def structurally_equal(a: Formula, b: Formula) -> bool:
     """Structural comparison that also works across cache generations."""
     _check(a)
     _check(b)
-    done: set[tuple[int, int]] = set()
+    done: set[tuple[Formula, Formula]] = set()
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        if x is y or (id(x), id(y)) in done:
+        if x is y or (x, y) in done:
             continue
         if x.kind != y.kind or x.var != y.var or x.length != y.length:
             return False
-        done.add((id(x), id(y)))
+        done.add((x, y))
         if x.left is not None:
             stack.append((x.left, y.left))
         if x.right is not None:
@@ -313,10 +330,12 @@ def register_cache_clearer(fn) -> None:
 def clear_caches() -> None:
     """Drop all interned nodes and registered derived caches.
 
-    Identity-based equality only holds between nodes built inside one
-    cache generation; use :func:`structurally_equal` across generations.
+    This starts a new cache generation: nodes built later are new objects
+    (only ``BOTTOM`` carries over), so identity-based equality only holds
+    between nodes of one generation; use :func:`structurally_equal`
+    across generations.
     """
     _table.clear()
-    _table[(BOT, 0, id(None), id(None))] = BOTTOM
+    _table[(BOT, 0)] = BOTTOM
     for fn in _cache_clearers:
         fn()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import formula as fm
-from .formula import (And, Box, Diamond, Formula, Implies, Or, Var,
+from .formula import (And, Box, Diamond, Formula, Implies, Or, Var, _check,
                       box_chain_le, diamond_chain_le, is_positive, length,
                       replace_bottom, substitute, varset)
 
@@ -291,6 +291,7 @@ def positive_embed(phi: Formula) -> PositiveEmbedding:
     and the result is (diamond_guard & box_guard & entailment_guard) ->
     body, which is positive by construction.
     """
+    _check(phi)
     f = 1
     while f in phi.vars:
         f += 1
@@ -406,6 +407,7 @@ def reduce_to_one_var(phi: Formula) -> TranslationReport:
     The report records the quadratic size check: output_length must stay
     below bound_limit = 2 * 5^(stable_level + 1) * positive_length^2.
     """
+    _check(phi)
     embedding = positive_embed(phi)
     subst = star(embedding.positive_form)
     output = subst.result

@@ -394,10 +394,10 @@ def _compile(phi: Formula) -> tuple[tuple[Formula, ...],
     are tuples, since every caller of a formula shares them.
     """
     nodes = tuple(subformulas(phi))
-    position = {id(node): k for k, node in enumerate(nodes)}
+    position = {node: k for k, node in enumerate(nodes)}
     return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
-                        (node.kind, position.get(id(node.left), 0),
-                         position.get(id(node.right), 0)) for node in nodes)
+                        (node.kind, position.get(node.left, 0),
+                         position.get(node.right, 0)) for node in nodes)
 
 
 register_cache_clearer(_compile.cache_clear)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import semantics
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Box, Diamond,
-                      Formula, Implies, And, Or, Var)
+                      Formula, Implies, And, Or, Var, _check)
 from .semantics import FiniteFSModel, Violation, bits_of
 
 
@@ -186,7 +186,7 @@ def print_formula(phi: Formula) -> str:
     depth) is the only limit; shared subterms are expanded repeatedly.
     """
     out: list[str] = []
-    stack: list[object] = [(phi, 0)]
+    stack: list[object] = [(_check(phi), 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):

@@ -1,16 +1,18 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import formulas
-from imred.corpus import random_formula
+from imred.corpus import formula_with_length, random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
-                           box_chain_le, diamond_chain_le, is_positive,
-                           length, mdepth, replace_bottom, structurally_equal,
-                           subformulas, substitute, varset)
+                           box_chain_le, clear_caches, diamond_chain_le,
+                           is_positive, length, mdepth, replace_bottom,
+                           structurally_equal, subformulas, substitute, varset)
 from imred.reduction import (family_formula, ground_formulas, positive_embed,
-                             star)
+                             reduce_to_one_var, star)
+from imred.syntax import parse_formula, print_formula
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -158,3 +160,141 @@ def test_subformulas_each_node_once_children_first_root_last():
         expected = []
         _first_completion_order(phi, set(), expected)
         assert [id(node) for node in order] == [id(node) for node in expected]
+
+
+@pytest.mark.parametrize("fn", [positive_embed, reduce_to_one_var, print_formula,
+                                star, mdepth, length])
+def test_non_formula_input_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="expected a Formula, got str"):
+        fn("p1")
+
+
+def _reference_metadata(phi):
+    """(length, mdepth, tree_size, vars, positive) of every node, by id.
+
+    Computed children-first over the DAG with an explicit stack, from the
+    definitions: variable i costs 1 + ceil(log2(i + 1)), every other
+    symbol 1; <> and [] add one modal level; false is the only
+    non-positive leaf.
+    """
+    ref = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        children = [c for c in (node.left, node.right) if c is not None]
+        todo = [c for c in children if id(c) not in ref]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if node.kind == "var":
+            ref[id(node)] = (1 + math.ceil(math.log2(node.var + 1)), 0, 1,
+                             frozenset({node.var}), True)
+        elif node.kind == "bot":
+            ref[id(node)] = (1, 0, 1, frozenset(), False)
+        else:
+            rows = [ref[id(c)] for c in children]
+            ref[id(node)] = (
+                1 + sum(r[0] for r in rows),
+                max(r[1] for r in rows) + (node.kind in ("dia", "box")),
+                1 + sum(r[2] for r in rows),
+                frozenset().union(*(r[3] for r in rows)),
+                all(r[4] for r in rows))
+    return ref
+
+
+def _metadata_corpus(seed):
+    rng = random.Random(seed)
+    inputs = [random_formula(rng, max_depth=6, n_vars=4) for _ in range(25)]
+    inputs += [formula_with_length(rng, target) for target in (30, 120, 400)]
+    return inputs
+
+
+def test_node_metadata_matches_reference_on_corpus_and_outputs():
+    for phi in _metadata_corpus(21):
+        report = reduce_to_one_var(phi)
+        for root in (phi, report.embedding.positive_form, report.output):
+            ref = _reference_metadata(root)
+            for node in subformulas(root):
+                assert (node.length, node.mdepth, node.tree_size, node.vars,
+                        node.positive) == ref[id(node)]
+
+
+def test_print_parse_round_trip_is_identity_in_a_fresh_generation():
+    clear_caches()
+    for phi in _metadata_corpus(22):
+        positive = positive_embed(phi).positive_form
+        for root in (phi, positive):
+            assert parse_formula(print_formula(root)) is root
+
+
+_BUILDERS = {"and": And, "or": Or, "imp": Implies, "dia": Diamond, "box": Box}
+
+
+def _shared_formula(rng, steps):
+    """A random DAG: each step combines nodes drawn from all built so far."""
+    pool = [Var(1), Var(2), Var(3), BOTTOM]
+    for _ in range(steps):
+        kind = rng.choice(sorted(_BUILDERS))
+        operands = [rng.choice(pool) for _ in range(1 + (kind not in ("dia", "box")))]
+        pool.append(_BUILDERS[kind](*operands))
+    return pool[-1]
+
+
+def _as_tuple(phi):
+    if phi.kind == "var":
+        return ("var", phi.var)
+    if phi.kind == "bot":
+        return ("bot",)
+    return (phi.kind,) + tuple(_as_tuple(c) for c in (phi.left, phi.right)
+                               if c is not None)
+
+
+def _tuple_substitute(t, images):
+    """Expanded-tree reference: ``images`` maps leaf tuples to tuples."""
+    if t[0] in ("var", "bot"):
+        return images.get(t, t)
+    return t[:1] + tuple(_tuple_substitute(c, images) for c in t[1:])
+
+
+def _from_tuple(t):
+    if t[0] == "var":
+        return Var(t[1])
+    if t[0] == "bot":
+        return BOTTOM
+    return _BUILDERS[t[0]](*(_from_tuple(c) for c in t[1:]))
+
+
+def test_substitute_and_replace_bottom_match_tuple_reference():
+    rng = random.Random(5)
+    for _ in range(60):
+        phi = _shared_formula(rng, rng.randint(1, 14))
+        assert phi.tree_size <= 20_000
+        a, b = _shared_formula(rng, 4), _shared_formula(rng, 4)
+        tree = _as_tuple(phi)
+        for bindings in ({1: Var(2), 2: Var(1)},          # a swap
+                         {1: Var(2), 2: Var(3), 3: Var(1)},  # a rotation
+                         {1: a, 2: b}, {2: a, 3: BOTTOM}, {1: phi}):
+            images = {("var", i): _as_tuple(img) for i, img in bindings.items()}
+            expected = _from_tuple(_tuple_substitute(tree, images))
+            assert substitute(phi, bindings) is expected
+        expected = _from_tuple(_tuple_substitute(tree, {("bot",): _as_tuple(a)}))
+        assert replace_bottom(phi, a) is expected
+
+
+def test_unchanged_subterms_keep_their_identity():
+    rng = random.Random(6)
+    kept = []
+    for _ in range(40):
+        phi = _shared_formula(rng, rng.randint(1, 14))
+        psi = replace_bottom(phi, Var(4))
+        for i in (1, 2, 3, 9):
+            assert substitute(phi, {i: Var(i)}) is phi
+        assert replace_bottom(psi, Var(1)) is psi
+        kept.append(psi)
+    # After the intern table is dropped, equal rebuilt nodes would be new
+    # objects, so identity here shows that no node was rebuilt.
+    clear_caches()
+    for psi in kept:
+        assert replace_bottom(psi, Var(1)) is psi
+        assert substitute(psi, {9: Var(1)}) is psi
