@@ -15,7 +15,7 @@ from typing import Iterable
 from .formula import (And, BOTTOM, Box, Diamond, Formula, Implies, Or, Var,
                       length)
 from .search import SearchBudget, find_countermodel
-from .semantics import FS, FiniteFSModel, build_model, bits_of
+from .semantics import FS, FiniteFSModel, build_model, transitive_up
 
 DEFAULT_WEIGHTS = {"and": 3, "or": 3, "imp": 3, "dia": 2, "box": 2}
 
@@ -87,13 +87,7 @@ def random_model(rng: random.Random, *, max_worlds: int = 3,
     n = rng.randint(1, max_worlds)
     order = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < edge_prob]
-    up = [1 << w for w in range(n)]
-    for u, v in order:
-        up[u] |= 1 << v
-    for w in reversed(range(n)):
-        for v in bits_of(up[w]):
-            if v != w:
-                up[w] |= up[v]
+    up = transitive_up(n, order)
     points: dict[int, set[int]] = {}
     pool = 0
     for w in range(n):

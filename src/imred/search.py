@@ -26,12 +26,14 @@ pass and doubles the group after each pass that refutes nothing, up to
 what the frame's lanes hold, so an early refutation costs no wider pass
 than before.
 
-Searches in one process share their formula-independent tables: the
-chunks, relations and <> moves of the frames they meet are kept in one
-module cache, to which a search adds only within its first _KEEP
-candidates, so the cache holds what the first frames of a budget need
-and a long search keeps no more than a short one.  Compiled formulas
-come from the bounded compile memo of ``imred.semantics``.
+The stream of passes depends on the budget's shape and the model kind,
+never on the formula, so searches in one process share it: one module
+memo keeps, per (max_worlds, max_points, var_bound, kind), the passes
+of the first _KEEP candidates with their frame tables, chunks and <>
+moves.  A search replays them and extends them while fewer are kept;
+past them it builds its own passes and keeps none, so a long search
+keeps no more than a short one.  Compiled formulas come from the
+bounded compile memo of ``imred.semantics``.
 ``imred.formula.clear_caches`` empties both.
 
 The search is sound for refutation only.  A returned certificate is
@@ -57,7 +59,8 @@ from .reduction import PositiveEmbedding, OneVarSubstitution, positive_embed, st
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain,
                         iter_monotone_valuations, monotone_assignments,
-                        pair_space, supersets_asc, validate_model)
+                        pair_space, supersets_asc, transitive_up,
+                        validate_model)
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
 
@@ -71,9 +74,10 @@ class SearchBudget:
 
     ``max_worlds``/``max_points`` bound the frame, ``var_bound`` the
     number of enumerated variables.  ``max_candidates`` and
-    ``time_cap_ms`` stop the search early; both are optional, and a
-    missing time cap falls back to the IMRED_TIME_CAP_MS environment
-    variable at search time.
+    ``time_cap_ms`` stop the search early; both are optional, must be
+    positive when given, and a missing time cap falls back to the
+    IMRED_TIME_CAP_MS environment variable at search time, which must
+    be positive too.
     """
 
     max_worlds: int
@@ -88,8 +92,14 @@ class SearchBudget:
         if self.var_bound < 0:
             raise ValueError("variable bound must be >= 0")
         for cap in (self.max_candidates, self.time_cap_ms):
-            if cap is not None and cap <= 0:
-                raise ValueError("caps must be positive when present")
+            _check_cap(cap)
+
+
+def _check_cap(cap: float | None, name: str = "caps") -> float | None:
+    """``cap`` unless it is present and not positive (NaN included)."""
+    if cap is not None and not cap > 0:
+        raise ValueError(f"{name} must be positive when present")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -131,17 +141,8 @@ def _posets(n_worlds: int) -> list[tuple[int, ...]]:
     slots = [(u, v) for u in range(n_worlds) for v in range(u + 1, n_worlds)]
     seen: set[tuple[int, ...]] = set()
     for choice in range(1 << len(slots)):
-        up = [1 << w for w in range(n_worlds)]
-        for bit, (u, v) in enumerate(slots):
-            if (choice >> bit) & 1:
-                up[u] |= 1 << v
-        for w in reversed(range(n_worlds)):  # successors already closed
-            acc = up[w]
-            for v in bits_of(acc):
-                if v != w:
-                    acc |= up[v]
-            up[w] = acc
-        seen.add(tuple(up))
+        seen.add(transitive_up(n_worlds, (slot for bit, slot in enumerate(slots)
+                                          if (choice >> bit) & 1)))
     return sorted(seen)
 
 
@@ -270,39 +271,21 @@ def _layers(k: int, bits: int) -> int:
     return ((1 << (k * bits)) - 1) // ((1 << bits) - 1)
 
 
-# Candidates a search reads before it stops adding to the table cache.
-_KEEP = 8192
-
-# Frame tables by (up, delta, var_bound), shared by every search; one
-# search at a time reads and extends them, under _LOCK.
-_TABLES: dict[tuple[tuple[int, ...], tuple[int, ...], int], "_Valuations"] = {}
-_LOCK = threading.Lock()
-register_cache_clearer(_TABLES.clear)
-
-
 class _Valuations:
-    """One frame's valuations in lane chunks and its relation groups,
-    built as searches need them and kept in ``_TABLES``.
+    """One frame's valuation tables for the passes over it.
 
     A valuation is a tuple of indices into ``assignments``, the frame's
     monotone one-variable assignments, one index per variable; their
-    canonical order is that of ``itertools.product``.  Chunk k is
-    (valuations, var_masks) for valuations k * block up to
-    (k + 1) * block - 1, ``block`` being the valuation count capped at
-    _LANES; var_masks[p] has bit i * block + v set iff variable p holds
-    at frame pair i under valuation v.  That is one layer of ``bits``
-    bits.  When ``per`` = _LANES // block exceeds 1 there is one chunk,
-    and a pass over k <= per relations stacks k layers, relation r from
-    bit r * bits up (``stack``).  ``imp`` holds the evaluator's
-    implication moves in every layer: pair (w, x) also quantifies over
-    (v, x) for its strict order-successors v.
-
-    What searches add is kept for later ones: ``chunks`` holds the first
-    chunks, continued by the valuations of ``more``; ``streams`` holds,
-    per kind, the first relations and the stream that continues them;
-    ``groups`` holds the diamond moves of the groups met.  A search adds
-    to them only while it has read fewer than _KEEP candidates (see
-    :func:`_passes`), so what a frame keeps is bounded whatever the caps.
+    canonical order is that of ``itertools.product``.  :meth:`chunks`
+    yields (valuations, var_masks) for ``block`` consecutive valuations
+    at a time, ``block`` being the valuation count capped at _LANES;
+    var_masks[p] has bit i * block + v set iff variable p holds at frame
+    pair i under valuation v.  That is one layer of ``bits`` bits.  When
+    ``per`` = _LANES // block exceeds 1 there is one chunk, and a pass
+    over k <= per relations stacks k layers, relation r from bit
+    r * bits up.  ``imp`` holds the evaluator's implication moves in
+    every layer: pair (w, x) also quantifies over (v, x) for its strict
+    order-successors v.
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
@@ -324,138 +307,116 @@ class _Valuations:
                     _moves(((i, index[v, x])
                             for i, (w, x) in enumerate(frame.pairs)
                             for v in bits_of(frame.up[w]) if v != w), block)]
-        self.chunks: list[tuple[list[tuple[int, ...]], list[int]]] = []
-        self.more = self.valuations(0)
-        self.streams: dict[str, tuple[list, Iterator | None]] = {}
-        self.stacks: dict[int, tuple[int, list[int]]] = {}
-        self.groups: dict[tuple[tuple[int, ...], ...], list] = {}
 
-    def valuations(self, start: int) -> Iterator[tuple[int, ...]]:
-        """The frame's valuations in canonical order, from the start-th."""
-        return itertools.islice(
-            itertools.product(range(len(self.assignments)),
-                              repeat=self.var_bound), start, None)
-
-    def chunk(self, more: Iterator) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The chunk of the next ``block`` valuations of ``more``."""
-        vals = list(itertools.islice(more, self.block))
+    def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+        """The frame's valuations in canonical order, ``block`` at a time,
+        each chunk with its variable masks."""
+        more = itertools.product(range(len(self.assignments)),
+                                 repeat=self.var_bound)
         spread = self.spread
-        masks = [0] * (self.var_bound + 1)
-        for lane, val in enumerate(vals):
-            for p, a in enumerate(val, 1):
-                masks[p] |= spread[a] << lane
-        return vals, masks
+        while vals := list(itertools.islice(more, self.block)):
+            masks = [0] * (self.var_bound + 1)
+            for lane, val in enumerate(vals):
+                for p, a in enumerate(val, 1):
+                    masks[p] |= spread[a] << lane
+            yield vals, masks
 
     def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.assignments[a] for a in val)
 
-    def relations(self, kind: str, keeping) -> Iterator[tuple[int, ...]]:
-        """The frame's relation stream for ``kind``: those kept, then new
-        ones, kept while ``keeping()`` holds, then the rest, kept nowhere."""
-        stream = self.streams.get(kind)
-        if stream is None:
-            stream = self.streams[kind] = ([], _srel_stream(self.frame, kind))
-        known, more = stream
-        yield from known
-        if more is None:
-            return
-        while keeping():
-            srel = next(more, None)
-            if srel is None:
-                self.streams[kind] = (known, None)
-                return
-            known.append(srel)
-            yield srel
-        yield from itertools.islice(_srel_stream(self.frame, kind),
-                                    len(known), None)
-
-    def stack(self, k: int, var_masks: list[int]) -> tuple[int, list[int]]:
-        """The space and variable masks of k > 1 layers of the frame's
-        chunk (there is one when k > 1 relations share a pass)."""
-        got = self.stacks.get(k)
-        if got is None:
-            layers = _layers(k, self.bits)
-            got = self.stacks[k] = (self.space * layers,
-                                    [m * layers for m in var_masks])
-        return got
-
-    def dia(self, group: tuple[tuple[int, ...], ...],
-            keep: bool) -> list[tuple[int, int, int]]:
+    def dia(self, group: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
         """The evaluator's diamond moves under a relation group: in the
         layer of relation r, pair (w, x) looks at (w, y) for every y
-        related to x at w by relation r.  Kept for later searches when
-        ``keep`` holds."""
-        moves = self.groups.get(group)
-        if moves is None:
-            P = self.frame.n_points
-            pmask = (1 << P) - 1
-            pairs, index = self.frame.pairs, self.index
-            n = len(pairs)
-            moves = _moves(((r * n + i, r * n + index[w, y])
-                            for r, srel in enumerate(group)
-                            for i, (w, x) in enumerate(pairs)
-                            for y in bits_of((srel[w] >> (x * P)) & pmask)),
-                           self.block)
-            if keep:
-                self.groups[group] = moves
-        return moves
+        related to x at w by relation r."""
+        P = self.frame.n_points
+        pmask = (1 << P) - 1
+        pairs, index = self.frame.pairs, self.index
+        n = len(pairs)
+        return _moves(((r * n + i, r * n + index[w, y])
+                       for r, srel in enumerate(group)
+                       for i, (w, x) in enumerate(pairs)
+                       for y in bits_of((srel[w] >> (x * P)) & pmask)),
+                      self.block)
 
 
 def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
-    """Every (frame, relation group, valuation chunk) in canonical order.
+    """Every pass in canonical order: (frame, vals, group, dia, chunk,
+    space, var_masks), for the frame's tables ``vals``, a relation group,
+    its diamond moves, the valuations of a chunk, and the space and
+    variable masks stacked to one layer per relation of the group.
 
     A group holds ``size`` consecutive relations of a frame, at most the
     frame's ``per``.  ``size`` starts at 1 and doubles after each pass
     (the caller only resumes after a pass that refutes nothing), up to
-    the frame's ``per``, and carries over to the next frame.
-
-    Frame tables come from the module cache ``_TABLES``.  While the
-    candidates of the passes so far are fewer than _KEEP, the search adds
-    to it every frame, chunk, relation and group it builds.  After that
-    it reads what is kept and builds the rest for itself: a frame's
-    chunks for as long as it reads the frame, its relations and groups
-    only for the pass that needs them.  A search therefore adds at most
-    what its first _KEEP candidates meet, and a longer cap retains no
-    more.
+    the frame's ``per``, and carries over to the next frame.  The stream
+    therefore depends on the budget's shape and ``kind`` only.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     size = 1
-    seen = 0
-
-    def keeping() -> bool:
-        return seen < _KEEP
-
     for n in range(1, budget.max_worlds + 1):
         for frame in _frames(n, budget.max_points):
-            key = (frame.up, frame.delta, budget.var_bound)
-            vals = _TABLES.get(key)
-            if vals is None:
-                vals = _Valuations(frame, budget.var_bound)
-                if keeping():
-                    _TABLES[key] = vals
+            vals = _Valuations(frame, budget.var_bound)
             per = vals.per
             size = min(size, per)
-            # this search's chunks of the frame: those kept, then those it
-            # adds to them, then, from ``more``, those it keeps to itself
-            chunks = list(vals.chunks)
-            more = None
-            srels = vals.relations(kind, keeping)
+            chunks: list[tuple[list[tuple[int, ...]], list[int]]] = []
+            more = vals.chunks()
+            srels = _srel_stream(frame, kind)
             while group := tuple(itertools.islice(srels, size)):
-                dia = vals.dia(group, keeping())
+                dia = vals.dia(group)
                 for k in range(vals.n_chunks):
                     if k == len(chunks):
-                        if more is None and keeping():
-                            vals.chunks.append(vals.chunk(vals.more))
-                            chunks.append(vals.chunks[k])
-                        else:
-                            more = more or vals.valuations(k * vals.block)
-                            chunks.append(vals.chunk(more))
-                    chunk = chunks[k]
-                    yield frame, group, vals, dia, chunk
-                    seen += len(group) * len(chunk[0])
+                        chunks.append(next(more))
+                    chunk, var_masks = chunks[k]
+                    space = vals.space
+                    if len(group) > 1:
+                        layers = _layers(len(group), vals.bits)
+                        space *= layers
+                        var_masks = [m * layers for m in var_masks]
+                    yield frame, vals, group, dia, chunk, space, var_masks
                     if size < per:
                         size = min(2 * size, per)
+
+
+# Candidates whose passes a budget's memo entry keeps.
+_KEEP = 8192
+
+# The passes of the first _KEEP candidates of each budget shape, by
+# (max_worlds, max_points, var_bound, kind), with the generator that
+# continues them while fewer are kept (None once that many are).  One
+# search at a time reads and extends them, under _LOCK.
+_PASSES: dict[tuple[int, int, int, str], list] = {}
+_LOCK = threading.Lock()
+register_cache_clearer(_PASSES.clear)
+
+
+def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
+    """The passes of ``_passes(budget, kind)``: those kept in ``_PASSES``,
+    then new ones, kept while fewer than _KEEP candidates are, then those
+    of a fresh stream, kept nowhere."""
+    key = (budget.max_worlds, budget.max_points, budget.var_bound, kind)
+    entry = _PASSES.get(key)
+    if entry is None:
+        entry = _PASSES[key] = [[], _passes(budget, kind)]
+    kept, more = entry
+    yield from kept
+    if more is not None:
+        seen = sum(len(group) * len(chunk) for _, _, group, _, chunk, _, _ in kept)
+        while seen < _KEEP:
+            try:
+                step = next(more, None)
+            except BaseException:
+                # a generator that raised is finished: dropping the entry
+                # keeps it from ending the stream of later searches
+                _PASSES.pop(key, None)
+                raise
+            if step is None:
+                return
+            kept.append(step)
+            seen += len(step[2]) * len(step[4])
+            yield step
+        entry[1] = None
+    yield from itertools.islice(_passes(budget, kind), len(kept), None)
 
 
 def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> None:
@@ -490,17 +451,16 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     pass cut by the candidate cap checks exactly the candidates below
     it.
 
-    Searches in one process share the formula-independent tables of the
-    frames and relation groups they meet (valuation lane chunks with the
-    frame's -> moves, the relations met, and each group's <> moves),
-    kept in a module cache by frame shape and variable bound, and the
-    compiled formula, kept in the bounded compile memo of
-    ``imred.semantics``.  A search adds tables only within its first
-    _KEEP (8,192) candidates, so a later search over the same first
-    frames skips building them while a long search keeps no more than a
-    short one.  ``imred.formula.clear_caches`` empties both caches.
-    ``table_cache`` is accepted for compatibility and ignored.  Results
-    never depend on the caches.
+    Searches in one process share the formula-free passes of a budget
+    shape and kind (frame tables with the -> moves, valuation lane
+    chunks, relation groups with their <> moves), kept in a module memo
+    for the first _KEEP (8,192) candidates, and the compiled formula,
+    kept in the bounded compile memo of ``imred.semantics``.  A later
+    search with the same shape replays the kept passes; one that reads
+    past them builds the rest for itself, so a long search keeps no more
+    than a short one.  ``imred.formula.clear_caches`` empties both
+    caches.  ``table_cache`` is accepted for compatibility and ignored.
+    Results never depend on the caches.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -510,7 +470,7 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     if time_cap is None:
         env = os.environ.get(TIME_CAP_ENV)
         if env:
-            time_cap = float(env)
+            time_cap = _check_cap(float(env), TIME_CAP_ENV)
     cap = budget.max_candidates
     code = _compile(phi)[1]
     with _LOCK:
@@ -519,7 +479,8 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
         frames = 0
         last_frame = None
         stop = "exhausted"
-        for frame, group, vals, dia, (chunk, var_masks) in _passes(budget, kind):
+        for frame, vals, group, dia, chunk, space, var_masks in \
+                _memo_passes(budget, kind):
             if cap is not None and tested >= cap:
                 stop = "candidate-cap"
                 break
@@ -528,13 +489,12 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
                 stop = "time-cap"
                 break
             if frame is not last_frame:
-                frames += 1
+                # kept and fresh passes can hold equal copies of a frame
+                if frame != last_frame:
+                    frames += 1
                 last_frame = frame
             count = len(group) * len(chunk)
             lanes = count if cap is None else min(count, cap - tested)
-            space = vals.space
-            if len(group) > 1:
-                space, var_masks = vals.stack(len(group), var_masks)
             failed = space & ~_evaluate(code, var_masks, space, vals.imp, dia)[-1]
             block = vals.block
             if lanes < len(group) * block:
@@ -626,7 +586,7 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     formula).  Classification is per :func:`classify_pair`; bounded
     search being refutation-only, no outcome here can establish a
     translation failure by itself.  The three searches share the
-    library's table cache and compile memo (see
+    library's pass memo and compile memo (see
     :func:`find_countermodel`); ``table_cache`` is accepted and ignored.
     """
     embedding = positive_embed(phi)

@@ -119,20 +119,19 @@ class FiniteFSModel:
 
 
 def transitive_up(n_worlds: int, order: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Reflexive-transitive up-set masks from declared order pairs."""
+    """Reflexive-transitive up-set masks from declared order pairs.
+
+    One Warshall pass: for each world k in turn, every up-set holding k
+    takes in the up-set of k.
+    """
     up = [1 << w for w in range(n_worlds)]
     for u, v in order:
         up[u] |= 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for w in range(n_worlds):
-            acc = up[w]
-            for v in bits_of(acc):
-                acc |= up[v]
-            if acc != up[w]:
-                up[w] = acc
-                changed = True
+    for k, row in enumerate(up):
+        bit = 1 << k
+        for w, mask in enumerate(up):
+            if mask & bit:
+                up[w] = mask | row
     return tuple(up)
 
 

@@ -149,6 +149,14 @@ def test_refute_certificate_and_exhaustion():
     assert "models_tested=" in text
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_refute_rejects_time_caps_that_are_not_positive(monkeypatch, value):
+    argv = ["refute", "p1 -> p1", "--max-candidates", "1000"]
+    assert run(argv + ["--time-cap-ms", value]) == (2, "")
+    monkeypatch.setenv("IMRED_TIME_CAP_MS", value)
+    assert run(argv) == (2, "")
+
+
 def test_refute_output_is_a_parseable_certificate():
     from imred.syntax import parse_certificate, parse_formula
     from imred.semantics import eval_formula_plain

@@ -35,6 +35,15 @@ def test_budget_validation():
         SearchBudget(1, 1, 1, max_candidates=0)
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_time_caps_must_be_positive(monkeypatch, value):
+    with pytest.raises(ValueError, match="caps must be positive"):
+        SearchBudget(1, 1, 1, time_cap_ms=float(value))
+    monkeypatch.setenv("IMRED_TIME_CAP_MS", value)
+    with pytest.raises(ValueError, match="IMRED_TIME_CAP_MS must be positive"):
+        find_countermodel(parse_formula("p1 -> p1"), SearchBudget(1, 1, 1), FS)
+
+
 def test_minimal_budget_counts():
     budget = SearchBudget(1, 1, 0)
     fs_models = list(enumerate_models(budget, FS))
@@ -223,7 +232,7 @@ def test_table_cache_does_not_change_results():
         assert result.refuted == cold.refuted
         assert result.stats.models_tested == cold.stats.models_tested
         assert result.stats.stop == cold.stats.stop
-    assert search._TABLES  # the substituted output reuses cached family masks
+    assert search._PASSES  # the substituted output reuses the kept passes
 
 
 def test_refutable_corpus_is_deterministic_and_refutable():
@@ -308,9 +317,9 @@ def test_shared_table_cache_matches_cold_searches():
     clear_caches()
     for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
         assert reported(find_countermodel(phi, budget, kind)) == want
-    assert search._TABLES
-    assert all(vals.chunks for vals in search._TABLES.values())
-    assert_cache_matches_fresh_tables()
+    assert search._PASSES
+    assert all(kept for kept, _ in search._PASSES.values())
+    assert_memo_matches_fresh_passes()
 
 
 @pytest.mark.parametrize("depth", [1_500, 30_000])
@@ -353,23 +362,25 @@ def test_packed_relation_lanes_match_naive_reference(shape):
             reference_search(phi, budget, FS), (print_formula(phi), cap)
 
 
-def test_packed_refutations_sit_inside_full_groups(monkeypatch):
-    passes = []
-    real = search._passes
+def kept_pass_at(key, candidate):
+    """The kept pass of memo entry ``key`` that holds candidate number
+    ``candidate`` (counted from 1)."""
+    seen = 0
+    for step in search._PASSES[key][0]:
+        seen += len(step[2]) * len(step[4])
+        if seen >= candidate:
+            return step
+    raise AssertionError(f"candidate {candidate} is not kept")
 
-    def spy(*args):
-        for item in real(*args):
-            passes.append(item)
-            yield item
 
-    monkeypatch.setattr(search, "_passes", spy)
+def test_packed_refutations_sit_inside_full_groups():
     for text, shapes, tested, at in ((PACKED_REFUTATIONS[0], ((2, 2, 1), (3, 2, 1)), 1493, 9),
                                      (PACKED_REFUTATIONS[1], ((2, 2, 1), (3, 2, 1)), 1457, 3),
                                      (PACKED_REFUTATIONS[2], ((2, 3, 1),), 169, 4)):
         for shape in shapes:
             result = find_countermodel(parse_formula(text), SearchBudget(*shape), FS)
-            _, group, vals, _, _ = passes[-1]
             assert result.stats.models_tested == tested
+            _, vals, group, _, _, _, _ = kept_pass_at((*shape, FS), tested)
             assert len(group) == vals.per > 1
             assert group.index(result.countermodel.srel) == at
 
@@ -394,8 +405,8 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
     # frame's lanes hold, so how a frame is grouped depends on the frames
     # before it: at (2, 2, 2) the first two-world frame follows one that
     # packs 4 relations, at (2, 3, 2) one that packs a single relation.
-    # MIPC passes hold the total relation alone.  The cache then holds
-    # distinct, overlapping groups of one frame.
+    # MIPC passes hold the total relation alone.  The memo then holds
+    # distinct, overlapping groups of one frame under different budgets.
     rng = random.Random(29)
     runs = []
     for shape in ((2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3),
@@ -413,36 +424,46 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
     clear_caches()
     for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
         assert reported(find_countermodel(phi, budget, kind)) == want
-    assert search._TABLES
-    assert all(vals.chunks for vals in search._TABLES.values())
-    assert any(a != b and set(a) & set(b) for vals in search._TABLES.values()
-               for a in vals.groups for b in vals.groups)
-    assert_cache_matches_fresh_tables()
+    groups = {}
+    for (_, _, _, kind), (kept, _) in search._PASSES.items():
+        for frame, _, group, _, _, _, _ in kept:
+            groups.setdefault((frame.up, frame.delta, kind), set()).add(group)
+    assert any(a != b and set(a) & set(b) for met in groups.values()
+               for a in met for b in met)
+    assert_memo_matches_fresh_passes()
 
 
 def retained():
-    """Everything the frame-table cache holds: entries, chunks, kept
-    relations and kept groups."""
-    return sum(1 + len(vals.chunks) + len(vals.groups)
-               + sum(len(known) for known, _ in vals.streams.values())
-               for vals in search._TABLES.values())
+    """The passes the memo holds."""
+    return sum(len(kept) for kept, _ in search._PASSES.values())
 
 
-def assert_cache_matches_fresh_tables():
-    """Every kept chunk and relation is the one a fresh build gives at its
-    place, and the kept streams continue at the next one; then empties
-    the cache, whose streams this has read from."""
-    for vals in search._TABLES.values():
-        fresh = search._Valuations(vals.frame, vals.var_bound)
-        more = fresh.valuations(0)
-        built = [fresh.chunk(more) for _ in range(len(vals.chunks) + 1)]
-        assert vals.chunks == built[:-1]
-        assert vals.chunk(vals.more) == built[-1]
-        for kind, (known, rest) in vals.streams.items():
-            stream = search._srel_stream(vals.frame, kind)
-            assert known == list(itertools.islice(stream, len(known)))
-            if rest is not None:
-                assert next(rest, None) == next(stream, None)
+def pass_fields(step):
+    """A pass with its frame tables spelled out field by field."""
+    frame, vals, *rest = step
+    return (frame, vals.frame, vals.var_bound, vals.assignments, vals.block,
+            vals.n_chunks, vals.per, vals.bits, vals.space, vals.spread,
+            vals.index, vals.imp, *rest)
+
+
+def assert_memo_matches_fresh_passes():
+    """Every kept pass equals, field by field, the pass a fresh stream
+    gives at its place; an entry keeps the passes of at least _KEEP
+    candidates unless its stream goes on; a continuing stream yields the
+    fresh stream's next pass.  Then empties the memo, whose streams this
+    has read from."""
+    for (worlds, points, var_bound, kind), (kept, more) in search._PASSES.items():
+        fresh = search._passes(SearchBudget(worlds, points, var_bound), kind)
+        seen = 0
+        for step, want in zip(kept, fresh):
+            assert seen < search._KEEP
+            assert pass_fields(step) == pass_fields(want)
+            seen += len(step[2]) * len(step[4])
+        if more is None:
+            assert seen >= search._KEEP
+        else:
+            assert list(map(pass_fields, itertools.islice(more, 1))) == \
+                list(map(pass_fields, itertools.islice(fresh, 1)))
     clear_caches()
 
 
@@ -464,7 +485,7 @@ def test_table_cache_stops_growing_after_keep_candidates(kind):
         phi, SearchBudget(3, 3, 2, max_candidates=500_000), kind)
     assert retained() == kept
     assert reported(again) == reported(long)
-    assert_cache_matches_fresh_tables()
+    assert_memo_matches_fresh_passes()
     # a search that reads past the kept prefix counts as a cold one does
     assert reported(long) == reported(cold_search(
         phi, SearchBudget(3, 3, 2, max_candidates=500_000), kind))
@@ -475,10 +496,10 @@ def test_clear_caches_empties_frame_tables_and_compile_memo():
     find_countermodel(phi, SearchBudget(2, 2, 1), FS)
     model = next(enumerate_models(SearchBudget(1, 1, 1), FS))
     truth_table(model, phi)
-    assert search._TABLES
+    assert search._PASSES
     assert _compile.cache_info().currsize > 0
     clear_caches()
-    assert not search._TABLES
+    assert not search._PASSES
     assert _compile.cache_info().currsize == 0
 
 
@@ -492,9 +513,9 @@ def test_compile_memo_shares_immutable_code():
 
 
 def test_concurrent_searches_share_the_cache_safely():
-    # Threads interleave searches that read and extend the same frames'
-    # kept chunks and relation streams; a lost or reordered append would
-    # change a candidate count or a certificate.
+    # Threads interleave searches that read and extend the same budgets'
+    # kept passes; a lost or reordered append would change a candidate
+    # count or a certificate.
     rng = random.Random(41)
     runs = [(random_formula(rng, max_depth=3, n_vars=shape[2]),
              SearchBudget(*shape, max_candidates=3000), kind)
@@ -526,4 +547,52 @@ def test_concurrent_searches_share_the_cache_safely():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert_cache_matches_fresh_tables()
+    assert_memo_matches_fresh_passes()
+
+
+# Searches that end inside the kept passes, exhaust a stream shorter or
+# longer than them, or read past them.
+@pytest.mark.parametrize("shape,caps", [((1, 2, 2), (None,)),
+                                        ((2, 2, 1), (100, None)),
+                                        ((2, 3, 2), (100, 3 * search._KEEP)),
+                                        ((3, 2, 1), (100, 3 * search._KEEP))])
+@pytest.mark.parametrize("kind", [FS, MIPC])
+def test_kept_passes_equal_fresh_passes(shape, caps, kind):
+    clear_caches()
+    for cap in caps:
+        find_countermodel(parse_formula("p1 -> p1"),
+                          SearchBudget(*shape, max_candidates=cap), kind)
+    assert search._PASSES
+    assert_memo_matches_fresh_passes()
+
+
+def test_frames_are_counted_once_across_the_kept_boundary():
+    phi = parse_formula("p1 -> p1")
+    budget = SearchBudget(3, 3, 2, max_candidates=3 * search._KEEP)
+    cold = reported(cold_search(phi, budget, FS))
+    # the passes past the kept ones then hold new, equal frame objects
+    search._frames.cache_clear()
+    assert reported(find_countermodel(phi, budget, FS)) == cold
+
+
+def test_a_failed_extension_leaves_no_truncated_entry(monkeypatch):
+    phi = parse_formula("p1 -> p1")
+    budget = SearchBudget(2, 2, 1)
+    cold = reported(cold_search(phi, budget, FS))
+    stream = search._srel_stream
+
+    def interrupted(frame, kind):
+        if frame.n_worlds == 2:
+            raise KeyboardInterrupt
+        return stream(frame, kind)
+
+    clear_caches()
+    find_countermodel(phi, SearchBudget(1, 2, 1), FS)
+    monkeypatch.setattr(search, "_srel_stream", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        find_countermodel(phi, budget, FS)
+    assert (2, 2, 1, FS) not in search._PASSES
+    assert (1, 2, 1, FS) in search._PASSES
+    monkeypatch.setattr(search, "_srel_stream", stream)
+    assert reported(find_countermodel(phi, budget, FS)) == cold
+    assert_memo_matches_fresh_passes()
