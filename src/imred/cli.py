@@ -58,42 +58,36 @@ def cmd_translate(args: argparse.Namespace, out) -> int:
 
     emit("input", syntax.print_formula(phi))
     emit("input_length", length(phi))
+    report = reduce_to_one_var(phi) if args.stage == "full" else None
     if args.stage == "star":
         if not phi.positive:
             print("error\tstage star needs a positive input formula",
                   file=sys.stderr)
             return EXIT_ERROR
         subst = star(phi)
-        emit("base_size", base_length())
-        emit("stable_level", subst.stable_level)
-        emit("input_level", subst.input_level)
-        emit("substitution_level", subst.level)
-        emit("var_map", ",".join(f"p{a}->p{b}" for a, b in subst.var_map) or "-")
-        emit("output_length", length(subst.result))
-        emit("output", syntax.print_formula(subst.result))
-        return EXIT_OK
-    embedding = positive_embed(phi)
-    emit("fresh_var", f"p{embedding.fresh_var}")
-    emit("diamond_guard", syntax.print_formula(embedding.diamond_guard))
-    emit("box_guard", syntax.print_formula(embedding.box_guard))
-    emit("entailment_guard", syntax.print_formula(embedding.entailment_guard))
-    emit("guard", syntax.print_formula(embedding.guard))
-    emit("body", syntax.print_formula(embedding.body))
-    emit("positive_form", syntax.print_formula(embedding.positive_form))
-    emit("positive_length", length(embedding.positive_form))
-    if args.stage == "positive":
-        return EXIT_OK
-    report = reduce_to_one_var(phi)
-    emit("base_size", report.base_size)
-    emit("stable_level", report.stable_level)
-    emit("input_level", report.input_level)
-    emit("substitution_level", report.level)
-    emit("var_map", ",".join(f"p{a}->p{b}"
-                             for a, b in report.substitution.var_map) or "-")
-    emit("output_length", report.output_length)
-    emit("bound_limit", report.bound_limit)
-    emit("bound_ok", "true" if report.bound_ok else "false")
-    emit("output", syntax.print_formula(report.output))
+    else:
+        embedding = positive_embed(phi) if report is None else report.embedding
+        emit("fresh_var", f"p{embedding.fresh_var}")
+        emit("diamond_guard", syntax.print_formula(embedding.diamond_guard))
+        emit("box_guard", syntax.print_formula(embedding.box_guard))
+        emit("entailment_guard", syntax.print_formula(embedding.entailment_guard))
+        emit("guard", syntax.print_formula(embedding.guard))
+        emit("body", syntax.print_formula(embedding.body))
+        emit("positive_form", syntax.print_formula(embedding.positive_form))
+        emit("positive_length", length(embedding.positive_form))
+        if report is None:
+            return EXIT_OK
+        subst = report.substitution
+    emit("base_size", base_length())
+    emit("stable_level", subst.stable_level)
+    emit("input_level", subst.input_level)
+    emit("substitution_level", subst.level)
+    emit("var_map", ",".join(f"p{a}->p{b}" for a, b in subst.var_map) or "-")
+    emit("output_length", length(subst.result))
+    if report is not None:
+        emit("bound_limit", report.bound_limit)
+        emit("bound_ok", "true" if report.bound_ok else "false")
+    emit("output", syntax.print_formula(subst.result))
     return EXIT_OK
 
 
@@ -294,6 +288,8 @@ def _fit_cubic(xs: list[float], ys: list[float]) -> tuple[list[float], float]:
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = random.Random(args.seed)
     print(f"seed\t{args.seed}", file=out)

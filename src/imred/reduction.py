@@ -32,6 +32,7 @@ the whole output quadratic in the input length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -117,15 +118,7 @@ def spiral_walk() -> Iterator[tuple[int, int]]:
 
 _counts: list[int] = [2, 3]
 _family_memo: dict[tuple[str, int, int, int], Formula] = {}
-_stability_memo: dict[int, int] = {}
-
-
-def _clear_reduction_caches() -> None:
-    _family_memo.clear()
-    _stability_memo.clear()
-
-
-fm.register_cache_clearer(_clear_reduction_caches)
+fm.register_cache_clearer(_family_memo.clear)
 
 
 def level_count(level: int) -> int:
@@ -203,12 +196,14 @@ def _level01_table(base_var: int) -> dict[tuple[str, int, int], Formula]:
     }
 
 
+@functools.cache  # an int that no cache generation changes
 def base_length() -> int:
     """Summed length of the four level-0 family formulas (never hard-coded)."""
     return sum(length(family_formula(letter, 0, index))
                for letter in LETTERS for index in (1, 2))
 
 
+@functools.cache  # an int that no cache generation changes
 def stability_level() -> int:
     """Least level k0 from which the family count outruns base_size * 5^k.
 
@@ -218,9 +213,6 @@ def stability_level() -> int:
     squaring keeps m >= 7, so count(k + 1) = (count(k) - 1)^2 >
     5 * base_size * 5^k whenever count(k) clears level k.
     """
-    hit = _stability_memo.get(0)
-    if hit is not None:
-        return hit
     base = base_length()
     level = 0
     while True:
@@ -236,7 +228,6 @@ def stability_level() -> int:
         raise RuntimeError(
             f"dominance step fails at count {count}; level {level} is not "
             "self-sustaining")
-    _stability_memo[0] = level
     return level
 
 

@@ -30,11 +30,11 @@ The stream of passes depends on the budget's shape and the model kind,
 never on the formula, so searches in one process share it: one module
 memo keeps, per (max_worlds, max_points, var_bound, kind), the passes
 of the first _KEEP candidates with their frame tables, chunks and <>
-moves.  A search replays them and extends them while fewer are kept;
-past them it builds its own passes and keeps none, so a long search
-keeps no more than a short one.  Compiled formulas come from the
-bounded compile memo of ``imred.semantics``.
-``imred.formula.clear_caches`` empties both.
+moves.  A search replays them and extends them while fewer are kept.
+Past them, the search that filled them reads on from its own stream and
+a later one skips them in a fresh stream; none keeps more, so a long
+search keeps no more than a short one.  Compiled formulas come from the
+bounded compile memo of ``imred.semantics``; ``clear_caches`` empties both.
 
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
@@ -55,12 +55,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import Formula, register_cache_clearer, varset
-from .reduction import PositiveEmbedding, OneVarSubstitution, positive_embed, star
+from .reduction import OneVarSubstitution, PositiveEmbedding, reduce_to_one_var
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain,
-                        iter_monotone_valuations, monotone_assignments,
-                        pair_space, supersets_asc, transitive_up,
-                        validate_model)
+                        iter_monotone_valuations, monotone_masks, pair_space,
+                        supersets_asc, transitive_up, validate_model)
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
 
@@ -218,23 +217,7 @@ def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:
     """Monotone relation assignments, ascending; MIPC forces totality."""
     if kind == MIPC:
         return iter((frame.spaces,))
-    n = frame.n_worlds
-    masks = [0] * n
-
-    def go(w: int) -> Iterator[tuple[int, ...]]:
-        if w == n:
-            yield tuple(masks)
-            return
-        lower = 0
-        for u in range(w):
-            if (frame.up[u] >> w) & 1:
-                lower |= masks[u]
-        for m in supersets_asc(lower, frame.spaces[w]):
-            masks[w] = m
-            yield from go(w + 1)
-        masks[w] = 0
-
-    return go(0)
+    return monotone_masks(frame.n_worlds, frame.up, frame.spaces)
 
 
 def _materialise(frame: _Frame, srel: tuple[int, ...],
@@ -289,8 +272,8 @@ class _Valuations:
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
-        self.assignments = monotone_assignments(frame.n_worlds, frame.up,
-                                                frame.delta)
+        self.assignments = list(monotone_masks(frame.n_worlds, frame.up,
+                                               frame.delta))
         count = len(self.assignments) ** var_bound
         self.block = block = min(_LANES, count)
         self.n_chunks = -(-count // block)
@@ -392,8 +375,9 @@ register_cache_clearer(_PASSES.clear)
 
 def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     """The passes of ``_passes(budget, kind)``: those kept in ``_PASSES``,
-    then new ones, kept while fewer than _KEEP candidates are, then those
-    of a fresh stream, kept nowhere."""
+    then new ones, kept while fewer than _KEEP candidates are, then the
+    rest, kept nowhere: read on from the stream that filled the entry, or
+    in a later search from a fresh stream that skips the kept passes."""
     key = (budget.max_worlds, budget.max_points, budget.var_bound, kind)
     entry = _PASSES.get(key)
     if entry is None:
@@ -416,6 +400,8 @@ def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
             seen += len(step[2]) * len(step[4])
             yield step
         entry[1] = None
+        yield from more
+        return
     yield from itertools.islice(_passes(budget, kind), len(kept), None)
 
 
@@ -456,11 +442,12 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     chunks, relation groups with their <> moves), kept in a module memo
     for the first _KEEP (8,192) candidates, and the compiled formula,
     kept in the bounded compile memo of ``imred.semantics``.  A later
-    search with the same shape replays the kept passes; one that reads
-    past them builds the rest for itself, so a long search keeps no more
-    than a short one.  ``imred.formula.clear_caches`` empties both
-    caches.  ``table_cache`` is accepted for compatibility and ignored.
-    Results never depend on the caches.
+    search with the same shape replays the kept passes.  Past them, the
+    search that filled them reads on from its own stream and a later one
+    skips them in a fresh stream; none keeps more.
+    ``imred.formula.clear_caches`` empties both caches.  ``table_cache``
+    is accepted for compatibility and ignored.  Results never depend on
+    the caches.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -470,7 +457,12 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     if time_cap is None:
         env = os.environ.get(TIME_CAP_ENV)
         if env:
-            time_cap = _check_cap(float(env), TIME_CAP_ENV)
+            try:
+                time_cap = float(env)
+            except ValueError:
+                raise ValueError(
+                    f"{TIME_CAP_ENV} must be a number, got {env!r}") from None
+            _check_cap(time_cap, TIME_CAP_ENV)
     cap = budget.max_candidates
     code = _compile(phi)[1]
     with _LOCK:
@@ -501,9 +493,9 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
                 # keep candidates r * block + v below ``lanes``: whole layers,
                 # then valuations v < rem in every pair of the next layer
                 whole, rem = divmod(lanes, block)
-                failed &= (1 << (whole * vals.bits)) - 1 | sum(
-                    ((1 << rem) - 1) << (whole * vals.bits + i * block)
-                    for i in range(len(frame.pairs)))
+                cut = whole * vals.bits
+                failed &= (1 << cut) - 1 | ((1 << rem) - 1) * _layers(
+                    len(frame.pairs), block) << cut
             if not failed:
                 tested += lanes
                 if lanes < count:
@@ -589,18 +581,16 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     library's pass memo and compile memo (see
     :func:`find_countermodel`); ``table_cache`` is accepted and ignored.
     """
-    embedding = positive_embed(phi)
-    subst = star(embedding.positive_form)
+    report = reduce_to_one_var(phi)
+    positive, one_var = report.embedding.positive_form, report.output
     input_result = find_countermodel(phi, budget_in, kind)
-    positive_budget = dataclasses.replace(
-        budget_out, var_bound=max(varset(embedding.positive_form), default=0))
-    positive_result = find_countermodel(embedding.positive_form,
-                                        positive_budget, kind)
-    one_var_budget = dataclasses.replace(
-        budget_out, var_bound=max(varset(subst.result), default=0))
-    one_var_result = find_countermodel(subst.result, one_var_budget, kind)
+    positive_result = find_countermodel(positive, dataclasses.replace(
+        budget_out, var_bound=max(varset(positive), default=0)), kind)
+    one_var_result = find_countermodel(one_var, dataclasses.replace(
+        budget_out, var_bound=max(varset(one_var), default=0)), kind)
     return ConsistencyReport(
-        input=phi, embedding=embedding, substitution=subst,
+        input=phi, embedding=report.embedding,
+        substitution=report.substitution,
         input_result=input_result, positive_result=positive_result,
         one_var_result=one_var_result,
         positive_outcome=classify_pair(input_result, positive_result),

@@ -544,32 +544,30 @@ def true_in_model(model: FiniteFSModel, phi: Formula,
     return tables[phi] & ctx.space == ctx.space
 
 
-def monotone_assignments(n_worlds: int, up: tuple[int, ...],
-                         delta: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All monotone valuations of one variable, ascending.
+def monotone_masks(n_worlds: int, up: tuple[int, ...],
+                   bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every monotone tuple of per-world masks, ascending and lazily.
 
-    Each is a per-world bitmask of points, with V(w) inside delta[w] and
-    contained in V(v) for every order-successor v; ascending means
-    lexicographic with world 0 most significant.
+    The mask of world w lies inside bounds[w] and contains the masks of
+    w's order-predecessors; ascending means lexicographic with world 0
+    most significant.  Bounded by point sets it walks the monotone
+    valuations of one variable, by pair spaces the monotone relations.
     """
-    out: list[tuple[int, ...]] = []
     masks = [0] * n_worlds
 
-    def go(w: int) -> None:
+    def go(w: int) -> Iterator[tuple[int, ...]]:
         if w == n_worlds:
-            out.append(tuple(masks))
+            yield tuple(masks)
             return
         lower = 0
         for u in range(w):
             if (up[u] >> w) & 1:
                 lower |= masks[u]
-        for m in supersets_asc(lower, delta[w]):
+        for m in supersets_asc(lower, bounds[w]):
             masks[w] = m
-            go(w + 1)
-        masks[w] = 0
+            yield from go(w + 1)
 
-    go(0)
-    return out
+    return go(0)
 
 
 def iter_monotone_valuations(n_worlds: int, up: tuple[int, ...],
@@ -578,9 +576,9 @@ def iter_monotone_valuations(n_worlds: int, up: tuple[int, ...],
     """All monotone valuations of ``var_bound`` variables, ascending.
 
     Yields one tuple per valuation: per variable, one assignment of
-    :func:`monotone_assignments`.  Order is lexicographic, variable-major.
+    :func:`monotone_masks`.  Order is lexicographic, variable-major.
     """
-    return itertools.product(monotone_assignments(n_worlds, up, delta),
+    return itertools.product(monotone_masks(n_worlds, up, delta),
                              repeat=var_bound)
 
 
@@ -601,7 +599,7 @@ def valid_on_frame(model: FiniteFSModel, phi: Formula, var_bound: int,
     if top > var_bound:
         raise ValueError(
             f"formula uses p{top} but the variable bound is {var_bound}")
-    assignments = monotone_assignments(model.n_worlds, model.up, model.delta)
+    assignments = list(monotone_masks(model.n_worlds, model.up, model.delta))
     if len(assignments) ** var_bound > max_valuations:
         raise ValuationBudgetError(
             f"frame admits more than {max_valuations} valuations of "

@@ -34,8 +34,8 @@ import re
 from dataclasses import dataclass
 
 from . import semantics
-from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Box, Diamond,
-                      Formula, Implies, And, Or, Var, _check)
+from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Formula, Var,
+                      _binary, _check, _unary)
 from .semantics import FiniteFSModel, Violation, bits_of
 
 
@@ -87,7 +87,8 @@ _TOKEN = re.compile(r"false\b|p[1-9][0-9]*|->|<>|\[\]|[&|()]|\S")
 # the stacked operators at least as strong (-> only those stronger, so it
 # associates to the right).  "(" and the prefixes are absent: strength 0.
 _STRENGTH = {"&": 3, "|": 2, "->": 1}
-_BUILD = {"&": And, "|": Or, "->": Implies, "<>": Diamond, "[]": Box}
+# Node kind per operator token: the parser's own operands need no check.
+_KIND = {"&": AND, "|": OR, "->": IMP, "<>": DIA, "[]": BOX}
 
 
 def parse_formula(text: str) -> Formula:
@@ -120,21 +121,21 @@ def parse_formula(text: str) -> Formula:
             floor = _STRENGTH[tok] + (tok == "->")
             while ops and _STRENGTH.get(ops[-1], 0) >= floor:
                 right = args.pop()
-                args[-1] = _BUILD[ops.pop()](args[-1], right)
+                args[-1] = _binary(_KIND[ops.pop()], args[-1], right)
             ops.append(tok)
             want_operand = True
             continue
         elif tok == ")" and depth:
             while (op := ops.pop()) != "(":
                 right = args.pop()
-                args[-1] = _BUILD[op](args[-1], right)
+                args[-1] = _binary(_KIND[op], args[-1], right)
             depth -= 1
             node = args.pop()
         else:
             raise _syntax_error(text, tokens, i,
                                 "')'" if depth else "end of input")
         while ops and (ops[-1] == "<>" or ops[-1] == "[]"):
-            node = _BUILD[ops.pop()](node)
+            node = _unary(_KIND[ops.pop()], node)
         args.append(node)
         want_operand = False
     if want_operand or depth:
@@ -142,7 +143,7 @@ def parse_formula(text: str) -> Formula:
                             "a formula" if want_operand else "')'")
     while ops:
         right = args.pop()
-        args[-1] = _BUILD[ops.pop()](args[-1], right)
+        args[-1] = _binary(_KIND[ops.pop()], args[-1], right)
     return args[0]
 
 

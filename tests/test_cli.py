@@ -55,6 +55,25 @@ def test_translate_star_stage_requires_positive():
     assert "output" in record(text)
 
 
+_POSITIVE_KEYS = ["fresh_var", "diamond_guard", "box_guard",
+                  "entailment_guard", "guard", "body", "positive_form",
+                  "positive_length"]
+_STAR_KEYS = ["base_size", "stable_level", "input_level",
+              "substitution_level", "var_map", "output_length"]
+
+
+@pytest.mark.parametrize("stage,keys", [
+    ("positive", ["input", "input_length"] + _POSITIVE_KEYS),
+    ("star", ["input", "input_length"] + _STAR_KEYS + ["output"]),
+    ("full", ["input", "input_length"] + _POSITIVE_KEYS + _STAR_KEYS
+     + ["bound_limit", "bound_ok", "output"]),
+])
+def test_translate_key_order(stage, keys):
+    code, text = run(["translate", "--stage", stage, "p1"])
+    assert code == 0
+    assert [line.partition("\t")[0] for line in text.splitlines()] == keys
+
+
 def test_translate_is_byte_deterministic():
     first = run(["translate", "<>p1 & false -> p2"])
     second = run(["translate", "<>p1 & false -> p2"])
@@ -149,12 +168,17 @@ def test_refute_certificate_and_exhaustion():
     assert "models_tested=" in text
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "nan"])
-def test_refute_rejects_time_caps_that_are_not_positive(monkeypatch, value):
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "abc"])
+def test_refute_rejects_time_caps_that_are_not_positive(monkeypatch, capsys,
+                                                         value):
     argv = ["refute", "p1 -> p1", "--max-candidates", "1000"]
     assert run(argv + ["--time-cap-ms", value]) == (2, "")
+    capsys.readouterr()
     monkeypatch.setenv("IMRED_TIME_CAP_MS", value)
     assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error\tIMRED_TIME_CAP_MS ")
+    assert err.count("\n") == 1
 
 
 def test_refute_output_is_a_parseable_certificate():
@@ -203,6 +227,13 @@ def test_bench_smoke():
     assert code == 0
     assert "fit\tdegree=3" in text
     assert text.startswith("seed\t5\n")
+
+
+def test_bench_rejects_zero_repeats(capsys):
+    assert run(["bench", "--repeats", "0", "--sizes", "10"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error\t")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("xs,ys", [

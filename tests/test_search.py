@@ -596,3 +596,19 @@ def test_a_failed_extension_leaves_no_truncated_entry(monkeypatch):
     monkeypatch.setattr(search, "_srel_stream", stream)
     assert reported(find_countermodel(phi, budget, FS)) == cold
     assert_memo_matches_fresh_passes()
+
+
+def test_a_cold_search_past_the_kept_passes_builds_one_stream(monkeypatch):
+    budgets = []
+    passes = search._passes
+
+    def spy(budget, kind):
+        budgets.append(budget)
+        return passes(budget, kind)
+
+    clear_caches()
+    monkeypatch.setattr(search, "_passes", spy)
+    result = find_countermodel(parse_formula("p1 -> p1"), SearchBudget(2, 2, 1), FS)
+    assert result.stats.stop == "exhausted"
+    assert result.stats.models_tested > search._KEEP
+    assert len(budgets) == 1

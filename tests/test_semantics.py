@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
 from imred.semantics import (FS, MIPC, TableContext, ValuationBudgetError,
                              Violation, bits_of, build_model, eval_formula,
                              eval_formula_plain, iter_monotone_valuations,
-                             pair_space, true_in_model, truth_table,
-                             valid_on_frame, validate_model)
+                             monotone_masks, pair_space, true_in_model,
+                             truth_table, valid_on_frame, validate_model)
+from imred.search import _frames
 
 
 def single_world(srel=(), val=None, kind=FS, points=(0,)):
@@ -234,6 +236,28 @@ def test_monotone_valuations_are_monotone_and_sorted():
     # 1 and 2: lower {} -> upper {},{0},{1},{0,1}; lower {0} -> {0},{0,1};
     # 6 per variable, squared for two variables
     assert len(vals) == 36
+
+
+def brute_monotone_masks(up, bounds):
+    """Every per-world subset tuple inside ``bounds`` that grows along
+    ``up``, sorted."""
+    subsets = []
+    for bound in bounds:
+        bits = [1 << b for b in range(bound.bit_length()) if (bound >> b) & 1]
+        subsets.append([sum(itertools.compress(bits, keep)) for keep in
+                        itertools.product((0, 1), repeat=len(bits))])
+    return sorted(masks for masks in itertools.product(*subsets)
+                  if all(masks[u] & ~masks[w] == 0
+                         for u in range(len(up)) for w in bits_of(up[u])))
+
+
+@pytest.mark.parametrize("n_worlds", [1, 2, 3])
+@pytest.mark.parametrize("max_points", [1, 2])
+def test_monotone_masks_match_brute_force(n_worlds, max_points):
+    for frame in _frames(n_worlds, max_points):
+        for bounds in (frame.delta, frame.spaces):
+            assert list(monotone_masks(n_worlds, frame.up, bounds)) == \
+                brute_monotone_masks(frame.up, bounds)
 
 
 def test_deep_box_nesting_evaluates_without_recursion():
