@@ -19,10 +19,9 @@ from .reduction import (OneVarSubstitution, PositiveEmbedding,
 from .search import (ConsistencyReport, RefutationResult, SearchBudget,
                      SearchStats, check_translation_consistency,
                      classify_pair, enumerate_models, find_countermodel)
-from .semantics import (FS, MIPC, FiniteFSModel, ValuationBudgetError,
-                        Violation, build_model, eval_formula,
-                        eval_formula_plain, true_in_model, truth_table,
-                        valid_on_frame, validate_model)
+from .semantics import (FS, MIPC, FiniteFSModel, Violation, build_model,
+                        eval_formula, eval_formula_plain, true_in_model,
+                        truth_table, validate_model)
 from .syntax import (FormulaSyntaxError, ModelSyntaxError,
                      ModelValidationError, SourceSpan, parse_certificate,
                      parse_formula, parse_model, print_certificate,

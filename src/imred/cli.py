@@ -1,29 +1,26 @@
-"""Command-line front end: translate, family, check, refute, audit, bench.
+"""Command-line front end: translate, family, check, refute, audit.
 
 Output is plain text, one record per line, tab-separated where a record
 has fields.  Exit codes: 0 for success/true/exhausted, 1 for a refuted
 or failed check, 2 for usage, parse or validation errors.  All
 randomness is seeded and the seed is echoed, so identical invocations
-produce identical bytes (bench timings excepted).  The environment
-variable IMRED_TIME_CAP_MS caps search time when no explicit cap is
-given.
+produce identical bytes.  The environment variable IMRED_TIME_CAP_MS
+caps search time when no explicit cap is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
-import time
 
-from . import corpus, reduction, search, semantics, syntax
+from . import corpus, search, syntax
 from .formula import Formula, length, varset
 from .reduction import (base_length, family_formula, level_count,
                         reduce_to_one_var, positive_embed, spiral_cell,
                         spiral_index, spiral_walk, stability_level, star)
 from .search import SearchBudget, find_countermodel
-from .semantics import FS, MIPC, TableContext, bits_of, truth_table
+from .semantics import FS, MIPC, TableContext, truth_table
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -252,69 +249,6 @@ def cmd_audit(args: argparse.Namespace, out) -> int:
     return EXIT_OK if ok else EXIT_REFUTED
 
 
-def _fit_cubic(xs: list[float], ys: list[float]) -> tuple[list[float], float]:
-    """Least-squares polynomial fit of degree <= 3; returns coefficients and R^2.
-
-    Coefficients come highest power first, as from ``numpy.polyfit``.  The
-    normal equations are solved in u = (x - centre) / scale, with u in
-    [-1, 1]: in raw x they would hold x^6, about 10^24 at x = 10^4.  The
-    degree stays below the number of distinct xs, so the system is regular.
-    """
-    size = min(4, len(set(xs)))
-    centre = sum(xs) / len(xs)
-    scale = max(abs(x - centre) for x in xs) or 1.0
-    us = [(x - centre) / scale for x in xs]
-    # Augmented normal equations [G | b]: G[i][j] = sum u^(i+j), b[i] = sum y u^i.
-    # G is symmetric positive definite, so elimination needs no pivoting.
-    rows = [[sum(u ** (i + j) for u in us) for j in range(size)]
-            + [sum(y * u ** i for u, y in zip(us, ys))] for i in range(size)]
-    for col, pivot in enumerate(rows):
-        for row in rows:
-            if row is not pivot:
-                factor = row[col] / pivot[col]
-                row[:] = [a - factor * b for a, b in zip(row, pivot)]
-    c = [row[size] / row[k] for k, row in enumerate(rows)]  # c[k] multiplies u^k
-    predicted = [sum(ck * u ** k for k, ck in enumerate(c)) for u in us]
-    # Expand sum_k c[k] ((x - centre) / scale)^k into powers of x.
-    power = [0.0] * size
-    for k, ck in enumerate(c):
-        for j in range(k + 1):
-            power[j] += ck / scale ** k * math.comb(k, j) * (-centre) ** (k - j)
-    mean = sum(ys) / len(ys)
-    residual = sum((y - p) ** 2 for y, p in zip(ys, predicted))
-    spread = sum((y - mean) ** 2 for y in ys)
-    r2 = 1.0 if spread == 0 else 1.0 - residual / spread
-    return power[::-1], r2
-
-
-def cmd_bench(args: argparse.Namespace, out) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rng = random.Random(args.seed)
-    print(f"seed\t{args.seed}", file=out)
-    xs: list[float] = []
-    ys: list[float] = []
-    for size in sizes:
-        best = None
-        observed_length = 0
-        for _ in range(args.repeats):
-            phi = corpus.formula_with_length(rng, size)
-            started = time.perf_counter()
-            report = reduce_to_one_var(phi)
-            elapsed = time.perf_counter() - started
-            observed_length = length(phi)
-            assert report.bound_ok
-            best = elapsed if best is None else min(best, elapsed)
-        xs.append(float(observed_length))
-        ys.append(best)
-        print(f"size\t{size}\tlength\t{observed_length}\tseconds\t{best:.6f}",
-              file=out)
-    coeffs, r2 = _fit_cubic(xs, ys)
-    print(f"fit\tdegree=3\tr2={r2:.4f}\tcoeffs={coeffs}", file=out)
-    return EXIT_OK
-
-
 _GENERATOR_HELP = """\
 random corpus shape:
   formulas are drawn as random trees of depth <= 4 with connective
@@ -371,33 +305,35 @@ def build_parser() -> argparse.ArgumentParser:
     au = sub.add_parser("audit", help="self-checks; no flags runs everything",
                         epilog=_GENERATOR_HELP,
                         formatter_class=argparse.RawDescriptionHelpFormatter)
-    au.add_argument("--spiral", type=int, metavar="N",
+    au.add_argument("--spiral", type=_int_at_least(1), metavar="N",
                     help="check the pair enumeration up to rank N")
     au.add_argument("--family-sizes", action="store_true",
                     help="check family formula lengths against the "
                          "per-level bound")
-    au.add_argument("--max-level", type=int, default=6)
-    au.add_argument("--per-level", type=int, default=100,
+    au.add_argument("--max-level", type=_int_at_least(0), default=6)
+    au.add_argument("--per-level", type=_int_at_least(1), default=100,
                     help="random indices per level above level 3")
     au.add_argument("--growth-cert", action="store_true",
                     help="certify the family-count growth level")
     au.add_argument("--sizes", action="store_true",
                     help="check the quadratic output bound on a random corpus")
-    au.add_argument("--corpus", type=int, default=50, metavar="N")
-    au.add_argument("--max-length", type=int, default=400)
+    au.add_argument("--corpus", type=_int_at_least(1), default=50, metavar="N")
+    au.add_argument("--max-length", type=_int_at_least(4), default=400)
     au.add_argument("--seed", type=int, default=7)
 
-    be = sub.add_parser("bench",
-                        help="time the translation across input sizes and "
-                             "fit a cubic",
-                        epilog=_GENERATOR_HELP,
-                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    be.add_argument("--sizes", default="100,1000,10000",
-                    help="comma-separated input lengths")
-    be.add_argument("--repeats", type=int, default=3)
-    be.add_argument("--seed", type=int, default=7)
-
     return parser
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value" by this name
+    return parse
 
 
 def _logic_flags(cmd: argparse.ArgumentParser) -> None:
@@ -426,7 +362,6 @@ _COMMANDS = {
     "check": cmd_check,
     "refute": cmd_refute,
     "audit": cmd_audit,
-    "bench": cmd_bench,
 }
 
 

@@ -10,7 +10,6 @@ length is reached.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .formula import (And, BOTTOM, Box, Diamond, Formula, Implies, Or, Var,
                       length)

@@ -40,7 +40,7 @@ from typing import Iterator
 from . import formula as fm
 from .formula import (And, Box, Diamond, Formula, Implies, Or, Var, _check,
                       box_chain_le, diamond_chain_le, is_positive, length,
-                      replace_bottom, substitute, varset)
+                      replace_bottom, substitute)
 
 LETTERS = ("A", "B")
 

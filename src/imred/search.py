@@ -57,9 +57,9 @@ from typing import Iterator
 from .formula import Formula, register_cache_clearer, varset
 from .reduction import OneVarSubstitution, PositiveEmbedding, reduce_to_one_var
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
-                        _moves, bits_of, eval_formula_plain,
-                        iter_monotone_valuations, monotone_masks, pair_space,
-                        supersets_asc, transitive_up, validate_model)
+                        _moves, bits_of, eval_formula_plain, monotone_masks,
+                        pair_space, supersets_asc, transitive_up,
+                        validate_model)
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
 
@@ -242,9 +242,9 @@ def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSM
     for n in range(1, budget.max_worlds + 1):
         for frame in _frames(n, budget.max_points):
             for srel in _srel_stream(frame, kind):
-                for val in iter_monotone_valuations(
-                        frame.n_worlds, frame.up, frame.delta,
-                        budget.var_bound):
+                for val in itertools.product(
+                        monotone_masks(frame.n_worlds, frame.up, frame.delta),
+                        repeat=budget.var_bound):
                     yield _materialise(frame, srel, val, kind, budget.var_bound)
 
 

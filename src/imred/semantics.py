@@ -30,9 +30,7 @@ clauses pointwise and shares no code with the masks.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
@@ -569,44 +567,3 @@ def monotone_masks(n_worlds: int, up: tuple[int, ...],
 
     return go(0)
 
-
-def iter_monotone_valuations(n_worlds: int, up: tuple[int, ...],
-                             delta: tuple[int, ...],
-                             var_bound: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All monotone valuations of ``var_bound`` variables, ascending.
-
-    Yields one tuple per valuation: per variable, one assignment of
-    :func:`monotone_masks`.  Order is lexicographic, variable-major.
-    """
-    return itertools.product(monotone_masks(n_worlds, up, delta),
-                             repeat=var_bound)
-
-
-class ValuationBudgetError(Exception):
-    """Raised when a frame admits more valuations than the caller allows."""
-
-
-def valid_on_frame(model: FiniteFSModel, phi: Formula, var_bound: int,
-                   max_valuations: int = 200_000) -> bool:
-    """Brute-force validity of ``phi`` on the frame part of ``model``.
-
-    Enumerates every monotone valuation of ``var_bound`` variables over
-    the frame (the model's own valuation is ignored) and checks truth in
-    each induced model.  Exponential; refuses frames whose valuation
-    count exceeds ``max_valuations``.
-    """
-    top = max(varset(phi), default=0)
-    if top > var_bound:
-        raise ValueError(
-            f"formula uses p{top} but the variable bound is {var_bound}")
-    assignments = list(monotone_masks(model.n_worlds, model.up, model.delta))
-    if len(assignments) ** var_bound > max_valuations:
-        raise ValuationBudgetError(
-            f"frame admits more than {max_valuations} valuations of "
-            f"{var_bound} variables")
-    ctx = TableContext.for_model(model)
-    for val in itertools.product(assignments, repeat=var_bound):
-        candidate = dataclasses.replace(model, nvars=var_bound, val=val)
-        if not true_in_model(candidate, phi, ctx):
-            return False
-    return True

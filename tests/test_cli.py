@@ -1,10 +1,8 @@
 import io
-import math
 
-import numpy as np
 import pytest
 
-from imred.cli import _fit_cubic, main
+from imred.cli import main
 
 
 def run(argv):
@@ -215,43 +213,19 @@ def test_audit_subsets_pass():
     assert "sizes\tpass" in text
 
 
+@pytest.mark.parametrize("flags", [
+    ["--spiral", "0"], ["--growth-cert", "--spiral", "0"], ["--spiral", "-5"],
+    ["--corpus", "0"], ["--corpus", "-3"], ["--per-level", "0"],
+    ["--max-level", "-1"], ["--max-length", "3"],
+], ids=" ".join)
+def test_audit_rejects_flags_that_would_check_nothing(capsys, flags):
+    assert run(["audit"] + flags) == (2, "")
+    err = capsys.readouterr().err
+    assert f"error: argument {flags[-2]}: must be at least" in err
+    assert "Traceback" not in err
+
+
 def test_audit_is_byte_deterministic():
     argv = ["audit", "--sizes", "--corpus", "4", "--max-length", "80",
             "--seed", "11"]
     assert run(argv) == run(argv)
-
-
-def test_bench_smoke():
-    code, text = run(["bench", "--sizes", "60,120,240,480", "--repeats", "1",
-                      "--seed", "5"])
-    assert code == 0
-    assert "fit\tdegree=3" in text
-    assert text.startswith("seed\t5\n")
-
-
-def test_bench_rejects_zero_repeats(capsys):
-    assert run(["bench", "--repeats", "0", "--sizes", "10"]) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error\t")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("xs,ys", [
-    # test 06: five sizes up to 10^4 symbols, seconds per translation
-    ([100.0, 316.0, 1000.0, 3162.0, 10000.0],
-     [0.0012, 0.0011, 0.0040, 0.022, 0.099]),
-    ([100.0, 316.0, 1000.0, 3162.0, 10000.0],
-     [0.0007, 0.0023, 0.0071, 0.029, 0.118]),
-    # test_bench_smoke: four sizes, an exact cubic interpolation
-    ([60.0, 120.0, 240.0, 480.0], [0.0004, 0.0009, 0.0016, 0.0035]),
-])
-def test_fit_cubic_matches_numpy_polyfit(xs, ys):
-    coeffs, r2 = _fit_cubic(xs, ys)
-    expected = np.polyfit(xs, ys, deg=min(3, len(xs) - 1))
-    observed = np.asarray(ys)
-    residual = float(((observed - np.polyval(expected, xs)) ** 2).sum())
-    expected_r2 = 1.0 - residual / float(((observed - observed.mean()) ** 2).sum())
-    assert len(coeffs) == len(expected)
-    for got, want in zip(coeffs, expected):
-        assert math.isclose(got, float(want), rel_tol=1e-6)
-    assert math.isclose(r2, expected_r2, rel_tol=1e-6)

@@ -109,6 +109,20 @@ def test_diamond_to_box_has_minimal_countermodel():
                                   parse_formula("<>p1 -> []p1"))
 
 
+@pytest.mark.parametrize("kind,text,refuted,tested", [
+    (MIPC, "[]p1 -> p1", False, 136),  # total relations make [] reflexive
+    (FS, "[]p1 -> p1", True, 1),
+    (MIPC, "<>p1 -> p1", True, None),
+    (FS, "<>p1", True, 1),
+])
+def test_frame_facts_at_the_smallest_budget(kind, text, refuted, tested):
+    result = find_countermodel(parse_formula(text), SearchBudget(2, 2, 1),
+                               kind)
+    assert result.refuted == refuted
+    if tested is not None:
+        assert result.stats.models_tested == tested
+
+
 def test_certificates_are_sound_and_deterministic():
     phi = parse_formula("((p1 -> p2) -> p1) -> p1")
     first = find_countermodel(phi, SearchBudget(2, 2, 2), FS)

@@ -9,11 +9,10 @@ from conftest import formulas, seeded_model
 from imred.corpus import random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            varset)
-from imred.semantics import (FS, MIPC, TableContext, ValuationBudgetError,
-                             Violation, bits_of, build_model, eval_formula,
-                             eval_formula_plain, iter_monotone_valuations,
+from imred.semantics import (FS, MIPC, TableContext, Violation, bits_of,
+                             build_model, eval_formula, eval_formula_plain,
                              monotone_masks, pair_space, true_in_model,
-                             truth_table, valid_on_frame, validate_model)
+                             truth_table, validate_model)
 from imred.search import _frames
 
 
@@ -193,49 +192,6 @@ def test_diamond_distributes_over_disjunction_on_sampled_models():
     for seed in range(200):
         model = seeded_model(seed)
         assert true_in_model(model, phi)
-
-
-def test_valid_on_frame_tautology():
-    model = seeded_model(42)
-    assert valid_on_frame(model, Implies(Var(1), Var(1)), var_bound=1)
-
-
-def test_valid_on_frame_rejects_diamond_without_relation():
-    model = single_world()  # empty relation: <>p1 fails under every valuation
-    assert not valid_on_frame(model, Diamond(Var(1)), var_bound=1)
-
-
-def test_valid_on_frame_mipc_box_elimination():
-    total = {(x, y) for x in (0, 1) for y in (0, 1)}
-    model = single_world(srel=total, kind=MIPC, points=(0, 1))
-    assert valid_on_frame(model, Implies(Box(Var(1)), Var(1)), var_bound=1)
-    assert not valid_on_frame(model, Implies(Diamond(Var(1)), Var(1)),
-                              var_bound=1)
-
-
-def test_valid_on_frame_checks_variable_bound_and_budget():
-    model = seeded_model(7)
-    with pytest.raises(ValueError):
-        valid_on_frame(model, Var(3), var_bound=2)
-    with pytest.raises(ValuationBudgetError):
-        valid_on_frame(model, Var(1), var_bound=2, max_valuations=1)
-
-
-def test_monotone_valuations_are_monotone_and_sorted():
-    model = chain_model()
-    vals = list(iter_monotone_valuations(model.n_worlds, model.up,
-                                         model.delta, 2))
-    assert vals == sorted(vals)
-    assert len(vals) == len(set(vals))
-    for val in vals:
-        for row in val:
-            assert row[0] & ~row[1] == 0  # V(u) inside V(v)
-            assert row[0] & ~model.delta[0] == 0
-            assert row[1] & ~model.delta[1] == 0
-    # 3 monotone choices for one variable over the chain with delta sizes
-    # 1 and 2: lower {} -> upper {},{0},{1},{0,1}; lower {0} -> {0},{0,1};
-    # 6 per variable, squared for two variables
-    assert len(vals) == 36
 
 
 def brute_monotone_masks(up, bounds):
