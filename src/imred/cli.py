@@ -2,7 +2,7 @@
 
 Output is plain text, one record per line, tab-separated where a record
 has fields.  Exit codes: 0 for success/true/exhausted, 1 for a refuted
-or failed check, 2 for usage, parse or validation errors.  All
+or failed check, 2 for usage, parse, validation or memory errors.  All
 randomness is seeded and the seed is echoed, so identical invocations
 produce identical bytes.  The environment variable IMRED_TIME_CAP_MS
 caps search time when no explicit cap is given.
@@ -377,6 +377,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return err.code if isinstance(err.code, int) else EXIT_ERROR
     except ValueError as err:
         print(f"error\t{err}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error\tout of memory: the result is too large", file=sys.stderr)
         return EXIT_ERROR
 
 

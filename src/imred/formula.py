@@ -8,7 +8,9 @@ themselves, which hash and compare by identity; every map over nodes is
 keyed by the node.  Per-node metrics (symbol length, modal depth,
 expanded tree size, variable set, positivity) are computed once at
 construction and stay O(1) to read even when the fully expanded tree
-would be far too large to materialise.
+would be far too large to materialise.  Nodes form no cycles, so the DAG
+builders (``_gc_paused``) pause the cyclic garbage collector; a
+``gc.disable()`` by other code during a build is undone when it ends.
 
 Variable indices start at 1.  The symbol-length measure charges 1 for
 every connective or constant occurrence and 1 + ceil(log2(i + 1)) for an
@@ -18,6 +20,8 @@ is charged for grouping, since terms are trees rather than strings.
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import Iterator, Mapping
 
 VAR = "var"
@@ -217,6 +221,20 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     return iter(out)
 
 
+def _gc_paused(fn):
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_gc_paused
 def _rebuild(phi: Formula, leaf_image) -> Formula:
     """Bottom-up map over the DAG; ``leaf_image`` maps each leaf node.
 

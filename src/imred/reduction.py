@@ -39,8 +39,8 @@ from typing import Iterator
 
 from . import formula as fm
 from .formula import (And, Box, Diamond, Formula, Implies, Or, Var, _check,
-                      box_chain_le, diamond_chain_le, is_positive, length,
-                      replace_bottom, substitute)
+                      _gc_paused, box_chain_le, diamond_chain_le, is_positive,
+                      length, replace_bottom, substitute)
 
 LETTERS = ("A", "B")
 
@@ -141,6 +141,7 @@ def ground_formulas(base_var: int = 1) -> tuple[Formula, Formula, Formula]:
     return Diamond(p), Implies(Diamond(p), p), Implies(p, Box(p))
 
 
+@_gc_paused
 def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Formula:
     """Member ``index`` of the A- or B-family at ``level`` over one variable.
 
@@ -266,6 +267,7 @@ class PositiveEmbedding:
     positive_form: Formula
 
 
+@_gc_paused
 def positive_embed(phi: Formula) -> PositiveEmbedding:
     """Embed an arbitrary formula into the positive fragment.
 
@@ -329,6 +331,7 @@ class OneVarSubstitution:
     result: Formula
 
 
+@_gc_paused
 def star(phi: Formula) -> OneVarSubstitution:
     """Replace the variables of a positive formula by family disjunctions.
 
@@ -343,7 +346,7 @@ def star(phi: Formula) -> OneVarSubstitution:
     if not is_positive(phi):
         raise ValueError("the one-variable substitution requires a positive formula")
     original = sorted(phi.vars)
-    var_map = tuple((orig, rank) for rank, orig in enumerate(original, 1))
+    var_map = tuple([(orig, rank) for rank, orig in enumerate(original, 1)])
     if all(orig == rank for orig, rank in var_map):
         renumbered = phi
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import semantics
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Formula, Var,
-                      _binary, _check, _unary)
+                      _binary, _check, _gc_paused, _unary)
 from .semantics import FiniteFSModel, Violation, bits_of
 
 
@@ -91,6 +91,7 @@ _STRENGTH = {"&": 3, "|": 2, "->": 1}
 _KIND = {"&": AND, "|": OR, "->": IMP, "<>": DIA, "[]": BOX}
 
 
+@_gc_paused
 def parse_formula(text: str) -> Formula:
     """Parse formula text; raises :class:`FormulaSyntaxError` with a span."""
     tokens = _TOKEN.findall(text)

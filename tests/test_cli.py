@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from imred import syntax
 from imred.cli import main
 
 
@@ -92,6 +93,16 @@ def test_family_subcommands():
     assert text.count("->") > 0
     code, _ = run(["family"])
     assert code == 2
+
+
+def test_out_of_memory_exits_2_not_refuted(monkeypatch, capsys):
+    def exhausted(phi):
+        raise MemoryError
+
+    monkeypatch.setattr(syntax, "print_formula", exhausted)
+    assert run(["family", "A", "2", "1"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error\tout of memory: the result is too large\n"
 
 
 def test_family_out_of_range_mentions_range():

@@ -1,18 +1,26 @@
+import gc
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import formulas
+import imred
 from imred.corpus import formula_with_length, random_formula
-from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
+from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var, _rebuild,
                            box_chain_le, clear_caches, diamond_chain_le,
                            is_positive, length, mdepth, replace_bottom,
                            structurally_equal, subformulas, substitute, varset)
 from imred.reduction import (family_formula, ground_formulas, positive_embed,
                              reduce_to_one_var, star)
-from imred.syntax import parse_formula, print_formula
+from imred.syntax import FormulaSyntaxError, parse_formula, print_formula
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -298,3 +306,123 @@ def test_unchanged_subterms_keep_their_identity():
     for psi in kept:
         assert replace_bottom(psi, Var(1)) is psi
         assert substitute(psi, {9: Var(1)}) is psi
+
+
+def test_builders_pause_the_collector_and_restore_it():
+    seen = []
+
+    def leaf_image(node):
+        seen.append(gc.isenabled())
+        return node
+
+    _rebuild(Implies(P1, Box(P2)), leaf_image)
+    assert seen == [False, False]
+    assert gc.isenabled()
+    reduce_to_one_var(_metadata_corpus(23)[-1])  # star -> family -> _rebuild
+    assert gc.isenabled()
+    clear_caches()
+    assert family_formula("A", 8, 5).vars == {1}
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        reduce_to_one_var(Implies(Diamond(P1), P2))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_failed_build_leaves_the_collector_enabled():
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("p1 ->")
+    assert gc.isenabled()
+
+    def leaf_image(node):
+        raise LookupError(node)
+
+    with pytest.raises(LookupError):
+        _rebuild(And(P1, P2), leaf_image)
+    assert gc.isenabled()
+
+
+def test_concurrent_translations_leave_the_collector_enabled():
+    rng = random.Random(24)
+    inputs = [formula_with_length(rng, 150) for _ in range(50)]
+    expected = [reduce_to_one_var(phi).output_length for phi in inputs]
+    clear_caches()  # the threads race to intern the same nodes
+    results = [[] for _ in range(4)]
+
+    def work(out):
+        for phi in inputs:
+            out.append(reduce_to_one_var(phi).output_length)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert gc.isenabled()
+    assert results == [expected] * 4
+
+
+_LIVE_NODES_AFTER_CLEAR = """
+import gc, random
+from imred.corpus import formula_with_length
+from imred.formula import Formula, clear_caches
+from imred.reduction import reduce_to_one_var
+from imred.syntax import parse_formula, print_formula
+
+def batch():
+    rng = random.Random(7)
+    texts = [print_formula(formula_with_length(rng, n))
+             for n in (10, 30, 100, 300, 1000, 3000) for _ in range(4)]
+    clear_caches()
+    for text in texts:
+        report = reduce_to_one_var(parse_formula(text))
+        print_formula(report.embedding.positive_form)
+
+batch()
+clear_caches()
+print(sum(isinstance(obj, Formula) for obj in gc.get_objects()))
+"""
+
+
+def test_reference_counting_frees_every_node():
+    # A fresh process, so no other test's nodes are alive; no gc.collect()
+    # runs before the count, so only reference counting has freed nodes.
+    src = pathlib.Path(imred.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LIVE_NODES_AFTER_CLEAR],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"  # BOTTOM
+
+
+def test_memory_peak_stays_flat_over_repeated_translations():
+    rng = random.Random(25)
+    texts = [print_formula(random_formula(rng, max_depth=3)) for _ in range(20)]
+    peaks = []
+    # With the collector off throughout, only reference counting frees
+    # memory, so a flat peak shows that no translation leaves garbage,
+    # cyclic or not.  (With it on, full collections that empty CPython's
+    # free lists at varying points move the peak by a few percent.)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            for k in range(500):
+                clear_caches()
+                reduce_to_one_var(parse_formula(texts[k % len(texts)]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
