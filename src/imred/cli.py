@@ -26,6 +26,13 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_ERROR = 2
 
+# The highest family level the CLI takes: level 15's count has 3,685
+# digits, the last within Python's 4,300-digit int-to-str limit.
+MAX_LEVEL = 15
+# The longest family formula ``family`` prints, in symbols: level 10
+# (3.3e7 symbols) takes about 1 GB to print, level 11 four times that.
+MAX_PRINT = 5 * 10 ** 7
+
 
 def _kind(args: argparse.Namespace) -> str:
     return MIPC if args.mipc else FS
@@ -106,6 +113,10 @@ def cmd_family(args: argparse.Namespace, out) -> int:
         return EXIT_ERROR
     phi = family_formula(args.letter, args.level, args.index,
                          base_var=args.base_var)
+    if length(phi) > MAX_PRINT:
+        print(f"error\tthe formula has {length(phi)} symbols, more than "
+              f"the {MAX_PRINT} that family prints", file=sys.stderr)
+        return EXIT_ERROR
     print(syntax.print_formula(phi), file=out)
     return EXIT_OK
 
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family",
                          help="print family formulas and the pair enumeration")
     fam.add_argument("letter", nargs="?", choices=("A", "B"))
-    fam.add_argument("level", nargs="?", type=int)
+    fam.add_argument("level", nargs="?", type=_int_at_least(0, MAX_LEVEL))
     fam.add_argument("index", nargs="?", type=int)
     fam.add_argument("--base-var", type=int, default=1, metavar="N",
                      help="variable the family is built over (default 1)")
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the rank of cell (I, J)")
     fam.add_argument("--ginv", type=int, metavar="R",
                      help="print the cell of rank R")
-    fam.add_argument("--count", type=int, metavar="K",
+    fam.add_argument("--count", type=_int_at_least(0, MAX_LEVEL), metavar="K",
                      help="print how many formulas per letter level K holds")
 
     ck = sub.add_parser("check", help="evaluate a formula over a model file")
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--family-sizes", action="store_true",
                     help="check family formula lengths against the "
                          "per-level bound")
-    au.add_argument("--max-level", type=_int_at_least(0), default=6)
+    au.add_argument("--max-level", type=_int_at_least(0, MAX_LEVEL), default=6)
     au.add_argument("--per-level", type=_int_at_least(1), default=100,
                     help="random indices per level above level 3")
     au.add_argument("--growth-cert", action="store_true",
@@ -324,13 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an int no smaller than ``low`` and, when
+    ``high`` is given, no larger than it."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse reports "invalid int value" by this name
     return parse

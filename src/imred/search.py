@@ -30,9 +30,8 @@ The stream of passes depends on the budget's shape and the model kind,
 never on the formula, so searches in one process share it: one module
 memo keeps, per (max_worlds, max_points, var_bound, kind), the passes
 of the first _KEEP candidates with their frame tables, chunks and <>
-moves.  A search replays them and extends them while fewer are kept.
-Past them, the search that filled them reads on from its own stream and
-a later one skips them in a fresh stream; none keeps more, so a long
+moves.  A search replays them, then reads a fresh stream past them and
+keeps its passes while fewer than _KEEP candidates are kept, so a long
 search keeps no more than a short one.  Compiled formulas come from the
 bounded compile memo of ``imred.semantics``; ``clear_caches`` empties both.
 
@@ -365,44 +364,27 @@ def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
 _KEEP = 8192
 
 # The passes of the first _KEEP candidates of each budget shape, by
-# (max_worlds, max_points, var_bound, kind), with the generator that
-# continues them while fewer are kept (None once that many are).  One
-# search at a time reads and extends them, under _LOCK.
-_PASSES: dict[tuple[int, int, int, str], list] = {}
+# (max_worlds, max_points, var_bound, kind): a prefix of the shape's
+# stream.  One search at a time reads and extends them, under _LOCK.
+_PASSES: dict[tuple[int, int, int, str], list[tuple]] = {}
 _LOCK = threading.Lock()
 register_cache_clearer(_PASSES.clear)
 
 
 def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     """The passes of ``_passes(budget, kind)``: those kept in ``_PASSES``,
-    then new ones, kept while fewer than _KEEP candidates are, then the
-    rest, kept nowhere: read on from the stream that filled the entry, or
-    in a later search from a fresh stream that skips the kept passes."""
-    key = (budget.max_worlds, budget.max_points, budget.var_bound, kind)
-    entry = _PASSES.get(key)
-    if entry is None:
-        entry = _PASSES[key] = [[], _passes(budget, kind)]
-    kept, more = entry
+    then the rest of a fresh stream, each kept while fewer than _KEEP
+    candidates are.  A pass is kept only once the stream has built it, so
+    a stream that raises leaves a prefix of the stream behind."""
+    kept = _PASSES.setdefault(
+        (budget.max_worlds, budget.max_points, budget.var_bound, kind), [])
     yield from kept
-    if more is not None:
-        seen = sum(len(group) * len(chunk) for _, _, group, _, chunk, _, _ in kept)
-        while seen < _KEEP:
-            try:
-                step = next(more, None)
-            except BaseException:
-                # a generator that raised is finished: dropping the entry
-                # keeps it from ending the stream of later searches
-                _PASSES.pop(key, None)
-                raise
-            if step is None:
-                return
+    seen = sum(len(group) * len(chunk) for _, _, group, _, chunk, _, _ in kept)
+    for step in itertools.islice(_passes(budget, kind), len(kept), None):
+        if seen < _KEEP:
             kept.append(step)
             seen += len(step[2]) * len(step[4])
-            yield step
-        entry[1] = None
-        yield from more
-        return
-    yield from itertools.islice(_passes(budget, kind), len(kept), None)
+        yield step
 
 
 def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> None:
@@ -417,8 +399,8 @@ def _recheck_certificate(model: FiniteFSModel, w: int, x: int, phi: Formula) -> 
             "evaluator and the reference evaluator disagree")
 
 
-def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
-                      table_cache: dict | None = None) -> RefutationResult:
+def find_countermodel(phi: Formula, budget: SearchBudget,
+                      kind: str = FS) -> RefutationResult:
     """First model in canonical order falsifying ``phi`` somewhere.
 
     The formula's variables must fit the budget's variable bound.  The
@@ -442,12 +424,9 @@ def find_countermodel(phi: Formula, budget: SearchBudget, kind: str = FS,
     chunks, relation groups with their <> moves), kept in a module memo
     for the first _KEEP (8,192) candidates, and the compiled formula,
     kept in the bounded compile memo of ``imred.semantics``.  A later
-    search with the same shape replays the kept passes.  Past them, the
-    search that filled them reads on from its own stream and a later one
-    skips them in a fresh stream; none keeps more.
-    ``imred.formula.clear_caches`` empties both caches.  ``table_cache``
-    is accepted for compatibility and ignored.  Results never depend on
-    the caches.
+    search with the same shape replays the kept passes, then reads on
+    from a fresh stream that skips them.  ``imred.formula.clear_caches``
+    empties both caches.  Results never depend on the caches.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:

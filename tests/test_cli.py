@@ -2,8 +2,10 @@ import io
 
 import pytest
 
-from imred import syntax
+from imred import cli, syntax
 from imred.cli import main
+from imred.formula import length
+from imred.reduction import family_formula, level_count
 
 
 def run(argv):
@@ -103,6 +105,46 @@ def test_out_of_memory_exits_2_not_refuted(monkeypatch, capsys):
     assert run(["family", "A", "2", "1"]) == (2, "")
     assert capsys.readouterr().err == \
         "error\tout of memory: the result is too large\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["family", "--count", "16"], "--count"),
+    (["family", "--count", "30"], "--count"),
+    (["family", "A", "16", "1"], "level"),
+    (["audit", "--max-level", "16"], "--max-level"),
+], ids=["count 16", "count 30", "level 16", "max-level 16"])
+def test_family_levels_above_15_are_rejected_at_parse_time(capsys, argv, name):
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    assert stop.value.code == 2
+    assert f"error: argument {name}: must be at most 15, got" in \
+        capsys.readouterr().err
+    assert run(argv) == (2, "")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_family_count_prints_up_to_level_15():
+    code, text = run(["family", "--count", "15"])
+    assert code == 0
+    assert text == f"{level_count(15)}\n"
+    assert len(text) == 3686
+
+
+def test_family_refuses_to_print_past_the_size_limit(monkeypatch, capsys):
+    assert cli.MAX_PRINT == 5 * 10 ** 7
+    assert length(family_formula("A", 10, 1)) <= cli.MAX_PRINT
+    for argv, size in ((["family", "A", "11", "1"], 132_120_575),
+                       (["family", "B", "15", "7"], 33_822_867_455)):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error\tthe formula has {size} symbols, more than the " \
+            f"50000000 that family prints\n"
+    # the limit itself still prints
+    monkeypatch.setattr(cli, "MAX_PRINT", length(family_formula("A", 3, 1)))
+    assert run(["family", "A", "3", "1"]) == \
+        (0, syntax.print_formula(family_formula("A", 3, 1)) + "\n")
+    assert run(["family", "A", "4", "1"])[0] == 2
+    assert "more than the 2015 that family prints" in capsys.readouterr().err
 
 
 def test_family_out_of_range_mentions_range():

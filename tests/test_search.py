@@ -1,7 +1,10 @@
+import gc
 import itertools
 import random
 import sys
 import threading
+import types
+from collections.abc import Iterator
 
 import pytest
 
@@ -239,13 +242,10 @@ def test_table_cache_does_not_change_results():
     assert varset(out) == {1}
     budget = SearchBudget(2, 2, 1, max_candidates=800)
     cold = cold_search(out, budget, FS)
-    # the keyword is still accepted, and ignored
-    warm_a = find_countermodel(out, budget, FS, table_cache={})
-    warm_b = find_countermodel(out, budget, FS)
-    for result in (warm_a, warm_b):
-        assert result.refuted == cold.refuted
-        assert result.stats.models_tested == cold.stats.models_tested
-        assert result.stats.stop == cold.stats.stop
+    warm = find_countermodel(out, budget, FS)
+    assert warm.refuted == cold.refuted
+    assert warm.stats.models_tested == cold.stats.models_tested
+    assert warm.stats.stop == cold.stats.stop
     assert search._PASSES  # the substituted output reuses the kept passes
 
 
@@ -332,7 +332,7 @@ def test_shared_table_cache_matches_cold_searches():
     for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
         assert reported(find_countermodel(phi, budget, kind)) == want
     assert search._PASSES
-    assert all(kept for kept, _ in search._PASSES.values())
+    assert all(search._PASSES.values())
     assert_memo_matches_fresh_passes()
 
 
@@ -380,7 +380,7 @@ def kept_pass_at(key, candidate):
     """The kept pass of memo entry ``key`` that holds candidate number
     ``candidate`` (counted from 1)."""
     seen = 0
-    for step in search._PASSES[key][0]:
+    for step in search._PASSES[key]:
         seen += len(step[2]) * len(step[4])
         if seen >= candidate:
             return step
@@ -439,7 +439,7 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
     for (phi, budget, kind), want in zip(runs + runs[::-1], cold + cold[::-1]):
         assert reported(find_countermodel(phi, budget, kind)) == want
     groups = {}
-    for (_, _, _, kind), (kept, _) in search._PASSES.items():
+    for (_, _, _, kind), kept in search._PASSES.items():
         for frame, _, group, _, _, _, _ in kept:
             groups.setdefault((frame.up, frame.delta, kind), set()).add(group)
     assert any(a != b and set(a) & set(b) for met in groups.values()
@@ -449,7 +449,7 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
 
 def retained():
     """The passes the memo holds."""
-    return sum(len(kept) for kept, _ in search._PASSES.values())
+    return sum(map(len, search._PASSES.values()))
 
 
 def pass_fields(step):
@@ -461,24 +461,21 @@ def pass_fields(step):
 
 
 def assert_memo_matches_fresh_passes():
-    """Every kept pass equals, field by field, the pass a fresh stream
-    gives at its place; an entry keeps the passes of at least _KEEP
-    candidates unless its stream goes on; a continuing stream yields the
-    fresh stream's next pass.  Then empties the memo, whose streams this
-    has read from."""
-    for (worlds, points, var_bound, kind), (kept, more) in search._PASSES.items():
-        fresh = search._passes(SearchBudget(worlds, points, var_bound), kind)
+    """Every memo entry is a list of passes, a prefix of its shape's
+    stream: each kept pass equals, field by field, the pass a fresh
+    stream gives at its place, and none is kept after _KEEP candidates
+    are."""
+    for (worlds, points, var_bound, kind), kept in search._PASSES.items():
+        assert type(kept) is list
+        fresh = list(itertools.islice(
+            search._passes(SearchBudget(worlds, points, var_bound), kind),
+            len(kept)))
+        assert len(fresh) == len(kept)
         seen = 0
         for step, want in zip(kept, fresh):
             assert seen < search._KEEP
             assert pass_fields(step) == pass_fields(want)
             seen += len(step[2]) * len(step[4])
-        if more is None:
-            assert seen >= search._KEEP
-        else:
-            assert list(map(pass_fields, itertools.islice(more, 1))) == \
-                list(map(pass_fields, itertools.islice(fresh, 1)))
-    clear_caches()
 
 
 @pytest.mark.parametrize("kind", [FS, MIPC])
@@ -589,7 +586,7 @@ def test_frames_are_counted_once_across_the_kept_boundary():
     assert reported(find_countermodel(phi, budget, FS)) == cold
 
 
-def test_a_failed_extension_leaves_no_truncated_entry(monkeypatch):
+def test_a_failed_extension_leaves_a_prefix_of_the_stream(monkeypatch):
     phi = parse_formula("p1 -> p1")
     budget = SearchBudget(2, 2, 1)
     cold = reported(cold_search(phi, budget, FS))
@@ -605,9 +602,13 @@ def test_a_failed_extension_leaves_no_truncated_entry(monkeypatch):
     monkeypatch.setattr(search, "_srel_stream", interrupted)
     with pytest.raises(KeyboardInterrupt):
         find_countermodel(phi, budget, FS)
-    assert (2, 2, 1, FS) not in search._PASSES
-    assert (1, 2, 1, FS) in search._PASSES
     monkeypatch.setattr(search, "_srel_stream", stream)
+    # the entry keeps the one-world passes built before the interrupt
+    left = search._PASSES[2, 2, 1, FS]
+    assert left and all(frame.n_worlds == 1 for frame, *_ in left)
+    assert (1, 2, 1, FS) in search._PASSES
+    assert_memo_matches_fresh_passes()
+    # the next search replays that prefix and reads on past it
     assert reported(find_countermodel(phi, budget, FS)) == cold
     assert_memo_matches_fresh_passes()
 
@@ -626,3 +627,37 @@ def test_a_cold_search_past_the_kept_passes_builds_one_stream(monkeypatch):
     assert result.stats.stop == "exhausted"
     assert result.stats.models_tested > search._KEEP
     assert len(budgets) == 1
+
+
+@pytest.mark.parametrize("kind", [FS, MIPC])
+def test_growing_caps_on_one_shape_match_cold_searches(kind):
+    # each search reads past the passes the one before it kept
+    phi = parse_formula("p1 -> p2 -> p1")
+    budgets = [SearchBudget(2, 3, 2, max_candidates=cap)
+               for cap in (100, 3000, 20_000)]
+    cold = [reported(cold_search(phi, budget, kind)) for budget in budgets]
+    clear_caches()
+    kept = []
+    for budget, want in zip(budgets, cold):
+        assert reported(find_countermodel(phi, budget, kind)) == want
+        kept.append(retained())
+        assert_memo_matches_fresh_passes()
+    assert kept[0] < kept[1] < kept[2]
+
+
+def test_the_memo_holds_no_generator():
+    clear_caches()
+    phi = parse_formula("p1 -> p2 -> p1")
+    for shape, cap in (((2, 3, 2), 100), ((2, 3, 2), 20_000),
+                       ((1, 2, 2), None), ((2, 2, 2), 500)):
+        for kind in (FS, MIPC):
+            find_countermodel(phi, SearchBudget(*shape, max_candidates=cap), kind)
+    seen, todo = set(), [search._PASSES]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (types.GeneratorType, Iterator)), obj
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > len(search._PASSES)
