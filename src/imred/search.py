@@ -8,13 +8,13 @@ are partly avoided by construction: world ids respect the order, and
 point ids appear in first-use order; no general graph canonicalisation
 is attempted.
 
-The search evaluates candidates in lanes, up to 64 per pass of the
+The search evaluates candidates in lanes, up to 256 per pass of the
 bitmask evaluator of ``imred.semantics`` over the compiled formula DAG.
-A chunk holds up to 64 of a frame's valuations in canonical order, and
+A chunk holds up to 256 of a frame's valuations in canonical order, and
 one relation under a chunk is a layer: a truth mask holds bit
 ``pair_index * block + v`` for every legal (world, point) pair and
 valuation v of the chunk, ``block`` being the chunk size.  When a frame
-has at most 32 valuations, its one chunk leaves room for more, and a
+has at most 128 valuations, its one chunk leaves room for more, and a
 pass stacks the layers of several consecutive relations, that of
 relation r of the group from bit ``r * pairs * block`` up, so candidate
 ``r * block + v`` of the pass is relation r under valuation v.  & and |
@@ -62,8 +62,8 @@ from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
 
 TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
 
-# Valuations evaluated together in one pass over the formula DAG.
-_LANES = 64
+# Candidates per pass over the formula DAG; masks are integers of any width.
+_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -409,15 +409,15 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
     exhausted result carries statistics including whether a candidate or
     time cap stopped the search early.
 
-    One pass of the evaluator checks up to 64 consecutive candidates of
+    One pass of the evaluator checks up to 256 consecutive candidates of
     a frame: a chunk of one relation's valuations or, when a frame has
-    at most 32 valuations, several relations under all of them, one
+    at most 128 valuations, several relations under all of them, one
     layer of lanes per relation.  The first pass holds one relation and
     each pass that refutes nothing doubles the next one's group, up to
     what fits the lanes.  The lowest failing layer, then the lowest
     failing valuation in it, gives the first falsified candidate, and a
     pass cut by the candidate cap checks exactly the candidates below
-    it.
+    it.  The time cap is checked before each pass.
 
     Searches in one process share the formula-free passes of a budget
     shape and kind (frame tables with the -> moves, valuation lane

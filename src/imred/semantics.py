@@ -20,7 +20,7 @@ mask per subterm, with & and | as one integer operation and ->, <> and
 pair and the pairs it quantifies over.  [] reuses the -> and <> moves:
 []a fails at (w, x) exactly when <> of a's complement holds at (v, x)
 for some v >= w.  ``truth_table`` runs it with one lane per pair (bit
-w * P + x); the countermodel search runs it on up to 64 (relation,
+w * P + x); the countermodel search runs it on up to 256 (relation,
 valuation) candidates of a frame at once (see ``imred.search``);
 ``eval_formula`` reads one bit of a ``truth_table`` mask.
 ``eval_formula_plain`` is the independent reference: it follows the

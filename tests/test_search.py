@@ -303,6 +303,19 @@ def test_lane_search_matches_naive_reference(kind, shape):
                 reference_search(phi, budget, kind), (print_formula(phi), cap)
 
 
+def test_valuation_chunks_match_naive_reference():
+    # At (2, 2, 3) MIPC the first frame with more valuations than a pass
+    # has lanes (512, two chunks) starts at candidate 227, so caps 482, 483
+    # and 484 cut at and across its chunk boundary.  The refutable formula
+    # first fails at candidate 19,793, in the second chunk of a frame.
+    runs = [("p3 -> p3", cap) for cap in (482, 483, 484)]
+    runs.append(("[](((p3 -> p1) -> p1 -> p2) | (<>p1 -> p1))", None))
+    for text, cap in runs:
+        phi, budget = parse_formula(text), SearchBudget(2, 2, 3, max_candidates=cap)
+        assert reported(find_countermodel(phi, budget, MIPC)) == \
+            reference_search(phi, budget, MIPC), (text, cap)
+
+
 @pytest.mark.parametrize("shape,kind", [((1, 2, 1), FS), ((2, 1, 2), FS),
                                         ((2, 2, 1), MIPC)])
 def test_cap_equal_to_stream_length_reports_exhausted(shape, kind):
@@ -348,9 +361,10 @@ def test_deep_certificate_is_rechecked_without_recursion(depth):
     assert result.stats.models_tested == 4
 
 
-# First refuted at a non-first relation of a packed group as wide as its
-# frame allows: FS candidates 1493 and 1457 at (2, 2, 1) and (3, 2, 1),
-# relations 9 and 3 of a 10-relation group; 169 at (2, 3, 1), 4 of 8.
+# First refuted at a non-first relation of a packed group: FS candidates
+# 1493 and 1457 at (2, 2, 1) and (3, 2, 1), relations 17 and 11 of a
+# 24-relation group, every relation of a frame whose ``per`` is 42; 169 at
+# (2, 3, 1), relation 12 of a full 32-relation group.
 PACKED_REFUTATIONS = ("[]((p1 -> []p1) | p1)", "p1 | (<>p1 & p1 -> <>[]p1)",
                       "<><>p1 -> p1 | <>p1")
 
@@ -361,8 +375,9 @@ def test_packed_relation_lanes_match_naive_reference(shape):
     formulas = [random_formula(rng, max_depth=3, n_vars=1) for _ in range(6)]
     packed = [parse_formula(text) for text in PACKED_REFUTATIONS]
     # caps 7, 8 and 9 cut inside, at the end of and inside the next
-    # relation block of the first two-point frame, whose block is 4 lanes
-    caps = (1, 7, 8, 9, 49, 64, 65, 130, 700)
+    # relation block of the first two-point frame, whose block is 4 lanes;
+    # 255, 256, 257 and 513 cut at and across the 256-lane pass width
+    caps = (1, 7, 8, 9, 49, 64, 65, 130, 255, 256, 257, 513, 700)
     runs = [(phi, cap) for phi in formulas + packed for cap in caps]
     runs += [(phi, 2000) for phi in packed]
     # a cap just below the first countermodel cuts its relation's layer
@@ -388,14 +403,16 @@ def kept_pass_at(key, candidate):
 
 
 def test_packed_refutations_sit_inside_full_groups():
-    for text, shapes, tested, at in ((PACKED_REFUTATIONS[0], ((2, 2, 1), (3, 2, 1)), 1493, 9),
-                                     (PACKED_REFUTATIONS[1], ((2, 2, 1), (3, 2, 1)), 1457, 3),
-                                     (PACKED_REFUTATIONS[2], ((2, 3, 1),), 169, 4)):
+    for text, shapes, tested, at, full in (
+            (PACKED_REFUTATIONS[0], ((2, 2, 1), (3, 2, 1)), 1493, 17, False),
+            (PACKED_REFUTATIONS[1], ((2, 2, 1), (3, 2, 1)), 1457, 11, False),
+            (PACKED_REFUTATIONS[2], ((2, 3, 1),), 169, 12, True)):
         for shape in shapes:
             result = find_countermodel(parse_formula(text), SearchBudget(*shape), FS)
             assert result.stats.models_tested == tested
             _, vals, group, _, _, _, _ = kept_pass_at((*shape, FS), tested)
-            assert len(group) == vals.per > 1
+            assert len(group) > 1
+            assert (len(group) == vals.per) == full
             assert group.index(result.countermodel.srel) == at
 
 
@@ -411,7 +428,7 @@ def test_packed_passes_fill_the_lanes(monkeypatch):
     out = star(positive_embed(parse_formula("<>p1 -> []p1")).positive_form).result
     result = find_countermodel(out, SearchBudget(2, 2, 1, max_candidates=1500), FS)
     assert result.stats.models_tested == 1500
-    assert len(calls) < result.stats.models_tested / 16
+    assert len(calls) < result.stats.models_tested / 64
 
 
 def test_shared_table_cache_across_group_sizes_matches_cold_searches():
