@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import corpus, search, syntax
-from .formula import Formula, length, varset
+from .formula import Formula, Var, length, substitute, varset
 from .reduction import (base_length, family_formula, level_count,
                         reduce_to_one_var, positive_embed, spiral_cell,
                         spiral_index, spiral_walk, stability_level, star)
@@ -111,8 +111,8 @@ def cmd_family(args: argparse.Namespace, out) -> int:
         print("error\tfamily needs LETTER LEVEL INDEX "
               "(or one of --g/--ginv/--count)", file=sys.stderr)
         return EXIT_ERROR
-    phi = family_formula(args.letter, args.level, args.index,
-                         base_var=args.base_var)
+    phi = substitute(family_formula(args.letter, args.level, args.index),
+                     {1: Var(args.base_var)})
     if length(phi) > MAX_PRINT:
         print(f"error\tthe formula has {length(phi)} symbols, more than "
               f"the {MAX_PRINT} that family prints", file=sys.stderr)

@@ -117,7 +117,7 @@ def spiral_walk() -> Iterator[tuple[int, int]]:
 # The formula family.
 
 _counts: list[int] = [2, 3]
-_family_memo: dict[tuple[str, int, int, int], Formula] = {}
+_family_memo: dict[tuple[str, int, int], Formula] = {}
 fm.register_cache_clearer(_family_memo.clear)
 
 
@@ -135,17 +135,17 @@ def level_count(level: int) -> int:
     return _counts[level]
 
 
-def ground_formulas(base_var: int = 1) -> tuple[Formula, Formula, Formula]:
-    """The three seed formulas over one variable p: <>p, <>p -> p, p -> []p."""
-    p = Var(base_var)
+def ground_formulas() -> tuple[Formula, Formula, Formula]:
+    """The three seed formulas over p1: <>p1, <>p1 -> p1, p1 -> []p1."""
+    p = Var(1)
     return Diamond(p), Implies(Diamond(p), p), Implies(p, Box(p))
 
 
 @_gc_paused
-def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Formula:
-    """Member ``index`` of the A- or B-family at ``level`` over one variable.
+def family_formula(letter: str, level: int, index: int) -> Formula:
+    """Member ``index`` of the A- or B-family at ``level`` over p1.
 
-    Memoized on (letter, level, index, base_var), so construction cost is
+    Memoized on (letter, level, index), so construction cost is
     proportional to the number of distinct subterms materialised, not to
     the expanded tree.  Raises for indices outside 1..level_count(level).
     """
@@ -155,20 +155,19 @@ def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Fo
     if not isinstance(index, int) or not 1 <= index <= count:
         raise ValueError(
             f"index {index!r} out of range 1..{count} for level {level}")
-    key = (letter, level, index, base_var)
+    key = (letter, level, index)
     hit = _family_memo.get(key)
     if hit is not None:
         return hit
     if level <= 1:
-        table = _level01_table(base_var)
-        for (let, lvl, idx), phi in table.items():
-            _family_memo.setdefault((let, lvl, idx, base_var), phi)
+        for key01, phi in _level01_table().items():
+            _family_memo.setdefault(key01, phi)
         return _family_memo[key]
     i, j = spiral_cell(index)
-    first_a = family_formula("A", level - 1, 1, base_var)
-    first_b = family_formula("B", level - 1, 1, base_var)
-    part_a = family_formula("A", level - 1, i, base_var)
-    part_b = family_formula("B", level - 1, j, base_var)
+    first_a = family_formula("A", level - 1, 1)
+    first_b = family_formula("B", level - 1, 1)
+    part_a = family_formula("A", level - 1, i)
+    part_b = family_formula("B", level - 1, j)
     if letter == "A":
         head, alt = first_a, first_b
     else:
@@ -177,8 +176,8 @@ def family_formula(letter: str, level: int, index: int, base_var: int = 1) -> Fo
     return _family_memo.setdefault(key, phi)
 
 
-def _level01_table(base_var: int) -> dict[tuple[str, int, int], Formula]:
-    g1, g2, g3 = ground_formulas(base_var)
+def _level01_table() -> dict[tuple[str, int, int], Formula]:
+    g1, g2, g3 = ground_formulas()
     a01 = Implies(g2, Or(g1, g3))
     a02 = Implies(g3, Or(g1, g2))
     b01 = Implies(g1, Or(g2, g3))

@@ -8,23 +8,21 @@ are partly avoided by construction: world ids respect the order, and
 point ids appear in first-use order; no general graph canonicalisation
 is attempted.
 
-The search evaluates candidates in lanes, up to 256 per pass of the
+The search evaluates up to 256 candidates of a frame per pass of the
 bitmask evaluator of ``imred.semantics`` over the compiled formula DAG.
-A chunk holds up to 256 of a frame's valuations in canonical order, and
-one relation under a chunk is a layer: a truth mask holds bit
-``pair_index * block + v`` for every legal (world, point) pair and
-valuation v of the chunk, ``block`` being the chunk size.  When a frame
-has at most 128 valuations, its one chunk leaves room for more, and a
-pass stacks the layers of several consecutive relations, that of
-relation r of the group from bit ``r * pairs * block`` up, so candidate
-``r * block + v`` of the pass is relation r under valuation v.  & and |
-are one integer operation for the whole pass, while ->, <> and []
-combine shifted copies of their operand masks, from one -> table per
-frame, alike in every layer, and one <> table per relation group, each
-relation's edges in its own layer.  A search starts at one relation per
-pass and doubles the group after each pass that refutes nothing, up to
-what the frame's lanes hold, so an early refutation costs no wider pass
-than before.
+A chunk holds up to 256 of a frame's valuations in canonical order; a
+pass takes one relation under a chunk or, when a frame has at most 128
+valuations, a group of consecutive relations under its one chunk, and
+candidate ``c = r * block + v`` of the pass is relation r of the group
+under valuation v, ``block`` being the chunk size.  The masks are laid
+out candidate-major: bit ``c * n + i`` is frame pair i (of n legal
+(world, point) pairs) under candidate c, so a pass is stacked copies of
+the frame's one-lane table.  & and | are one integer operation for the
+whole pass, while ->, <> and [] combine shifted copies of their operand
+masks, from one -> table per frame and one <> table per relation group.
+A search starts at one relation per pass and doubles the group after
+each pass that refutes nothing, up to what the frame's lanes hold, so
+an early refutation costs no wider pass than before.
 
 The stream of passes depends on the budget's shape and the model kind,
 never on the formula, so searches in one process share it: one module
@@ -248,8 +246,8 @@ def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSM
 
 
 def _layers(k: int, bits: int) -> int:
-    """The integer with bit r * bits set for every r < k: one bit per
-    layer, so a product repeats a one-layer mask k times."""
+    """The integer with bit r * bits set for every r < k, so a product
+    repeats a ``bits``-bit mask k times."""
     return ((1 << (k * bits)) - 1) // ((1 << bits) - 1)
 
 
@@ -261,13 +259,13 @@ class _Valuations:
     canonical order is that of ``itertools.product``.  :meth:`chunks`
     yields (valuations, var_masks) for ``block`` consecutive valuations
     at a time, ``block`` being the valuation count capped at _LANES;
-    var_masks[p] has bit i * block + v set iff variable p holds at frame
-    pair i under valuation v.  That is one layer of ``bits`` bits.  When
-    ``per`` = _LANES // block exceeds 1 there is one chunk, and a pass
-    over k <= per relations stacks k layers, relation r from bit
-    r * bits up.  ``imp`` holds the evaluator's implication moves in
-    every layer: pair (w, x) also quantifies over (v, x) for its strict
-    order-successors v.
+    var_masks[p] has bit v * n + i set iff variable p holds at frame
+    pair i (of n) under valuation v, ``bits`` = n * block bits in all.
+    When ``per`` = _LANES // block exceeds 1 there is one chunk, and a
+    pass over k <= per relations repeats its masks k times, so bit
+    c * n + i is pair i under candidate c = r * block + v.  ``imp``
+    holds the evaluator's implication moves for every candidate: pair
+    (w, x) also quantifies over (v, x) for its strict order-successors v.
     """
 
     def __init__(self, frame: _Frame, var_bound: int):
@@ -277,55 +275,54 @@ class _Valuations:
         self.block = block = min(_LANES, count)
         self.n_chunks = -(-count // block)
         self.per = per = _LANES // block
-        self.bits = bits = len(frame.pairs) * block
-        self.space = (1 << bits) - 1
-        self.spread = [sum(1 << (i * block) for i, (w, x) in enumerate(frame.pairs)
+        n = len(frame.pairs)
+        self.bits = n * block
+        self.spread = [sum(1 << i for i, (w, x) in enumerate(frame.pairs)
                            if (row[w] >> x) & 1) for row in self.assignments]
         self.var_bound = var_bound
         self.frame = frame
         self.index = index = {pair: i for i, pair in enumerate(frame.pairs)}
-        layers = _layers(per, bits)
-        self.imp = [(right, left, sel * layers) for right, left, sel in
-                    _moves(((i, index[v, x])
-                            for i, (w, x) in enumerate(frame.pairs)
-                            for v in bits_of(frame.up[w]) if v != w), block)]
+        self.imp = _moves(((i, index[v, x])
+                           for i, (w, x) in enumerate(frame.pairs)
+                           for v in bits_of(frame.up[w]) if v != w),
+                          _layers(per * block, n))
 
     def chunks(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
         """The frame's valuations in canonical order, ``block`` at a time,
         each chunk with its variable masks."""
         more = itertools.product(range(len(self.assignments)),
                                  repeat=self.var_bound)
-        spread = self.spread
+        spread, n = self.spread, len(self.frame.pairs)
         while vals := list(itertools.islice(more, self.block)):
             masks = [0] * (self.var_bound + 1)
             for lane, val in enumerate(vals):
                 for p, a in enumerate(val, 1):
-                    masks[p] |= spread[a] << lane
+                    masks[p] |= spread[a] << lane * n
             yield vals, masks
 
     def valuation(self, val: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.assignments[a] for a in val)
 
     def dia(self, group: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
-        """The evaluator's diamond moves under a relation group: in the
-        layer of relation r, pair (w, x) looks at (w, y) for every y
-        related to x at w by relation r."""
+        """The evaluator's diamond moves under a relation group: under
+        every candidate of relation r, pair (w, x) looks at (w, y) for
+        every y related to x at w by relation r."""
         P = self.frame.n_points
         pmask = (1 << P) - 1
-        pairs, index = self.frame.pairs, self.index
-        n = len(pairs)
-        return _moves(((r * n + i, r * n + index[w, y])
+        pairs, index, bits = self.frame.pairs, self.index, self.bits
+        return _moves(((r * bits + i, r * bits + index[w, y])
                        for r, srel in enumerate(group)
                        for i, (w, x) in enumerate(pairs)
                        for y in bits_of((srel[w] >> (x * P)) & pmask)),
-                      self.block)
+                      _layers(self.block, len(pairs)))
 
 
 def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
-    """Every pass in canonical order: (frame, vals, group, dia, chunk,
-    space, var_masks), for the frame's tables ``vals``, a relation group,
-    its diamond moves, the valuations of a chunk, and the space and
-    variable masks stacked to one layer per relation of the group.
+    """Every pass in canonical order: (first, vals, group, dia, chunk,
+    space, var_masks), for whether it is its frame's first pass, the
+    frame's tables ``vals``, a relation group, its diamond moves, the
+    valuations of a chunk, and the space and variable masks repeated
+    once per relation of the group.
 
     A group holds ``size`` consecutive relations of a frame, at most the
     frame's ``per``.  ``size`` starts at 1 and doubles after each pass
@@ -344,18 +341,19 @@ def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
             chunks: list[tuple[list[tuple[int, ...]], list[int]]] = []
             more = vals.chunks()
             srels = _srel_stream(frame, kind)
+            first = True
             while group := tuple(itertools.islice(srels, size)):
                 dia = vals.dia(group)
+                space = (1 << len(group) * vals.bits) - 1
                 for k in range(vals.n_chunks):
                     if k == len(chunks):
                         chunks.append(next(more))
                     chunk, var_masks = chunks[k]
-                    space = vals.space
                     if len(group) > 1:
-                        layers = _layers(len(group), vals.bits)
-                        space *= layers
-                        var_masks = [m * layers for m in var_masks]
-                    yield frame, vals, group, dia, chunk, space, var_masks
+                        copies = _layers(len(group), vals.bits)
+                        var_masks = [m * copies for m in var_masks]
+                    yield first, vals, group, dia, chunk, space, var_masks
+                    first = False
                     if size < per:
                         size = min(2 * size, per)
 
@@ -411,13 +409,14 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
 
     One pass of the evaluator checks up to 256 consecutive candidates of
     a frame: a chunk of one relation's valuations or, when a frame has
-    at most 128 valuations, several relations under all of them, one
-    layer of lanes per relation.  The first pass holds one relation and
-    each pass that refutes nothing doubles the next one's group, up to
-    what fits the lanes.  The lowest failing layer, then the lowest
-    failing valuation in it, gives the first falsified candidate, and a
-    pass cut by the candidate cap checks exactly the candidates below
-    it.  The time cap is checked before each pass.
+    at most 128 valuations, several relations under all of them.  The
+    first pass holds one relation and each pass that refutes nothing
+    doubles the next one's group, up to what fits the lanes.  Bit
+    c * n + i of a pass's masks is frame pair i under candidate c, so
+    the lowest failing bit gives the first falsified candidate and its
+    least failing pair, and a pass cut by the candidate cap checks
+    exactly the candidates below it.  The time cap is checked before
+    each pass.
 
     Searches in one process share the formula-free passes of a budget
     shape and kind (frame tables with the -> moves, valuation lane
@@ -448,9 +447,8 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
         started = time.perf_counter()
         tested = 0
         frames = 0
-        last_frame = None
         stop = "exhausted"
-        for frame, vals, group, dia, chunk, space, var_masks in \
+        for first, vals, group, dia, chunk, space, var_masks in \
                 _memo_passes(budget, kind):
             if cap is not None and tested >= cap:
                 stop = "candidate-cap"
@@ -459,45 +457,28 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
                     (time.perf_counter() - started) * 1000.0 > time_cap:
                 stop = "time-cap"
                 break
-            if frame is not last_frame:
-                # kept and fresh passes can hold equal copies of a frame
-                if frame != last_frame:
-                    frames += 1
-                last_frame = frame
+            frames += first
+            n = len(vals.frame.pairs)
             count = len(group) * len(chunk)
             lanes = count if cap is None else min(count, cap - tested)
-            failed = space & ~_evaluate(code, var_masks, space, vals.imp, dia)[-1]
-            block = vals.block
-            if lanes < len(group) * block:
-                # keep candidates r * block + v below ``lanes``: whole layers,
-                # then valuations v < rem in every pair of the next layer
-                whole, rem = divmod(lanes, block)
-                cut = whole * vals.bits
-                failed &= (1 << cut) - 1 | ((1 << rem) - 1) * _layers(
-                    len(frame.pairs), block) << cut
+            root = _evaluate(code, var_masks, space, vals.imp, dia)[-1]
+            failed = ~root & (1 << lanes * n) - 1
             if not failed:
                 tested += lanes
                 if lanes < count:
                     stop = "candidate-cap"
                     break
                 continue
-            r = ((failed & -failed).bit_length() - 1) // vals.bits
-            layer = failed >> (r * vals.bits)
-            missing = 0
-            for i in range(len(frame.pairs)):
-                missing |= layer >> (i * block)
-            v = (missing & -missing).bit_length() - 1
-            i = 0
-            while not (layer >> (i * block + v)) & 1:
-                i += 1
-            w, x = frame.pairs[i]
-            model = _materialise(frame, group[r], vals.valuation(chunk[v]), kind,
-                                 budget.var_bound)
+            c, i = divmod((failed & -failed).bit_length() - 1, n)
+            r, v = divmod(c, vals.block)
+            w, x = vals.frame.pairs[i]
+            model = _materialise(vals.frame, group[r], vals.valuation(chunk[v]),
+                                 kind, budget.var_bound)
             _recheck_certificate(model, w, x, phi)
             elapsed = (time.perf_counter() - started) * 1000.0
             return RefutationResult(
                 countermodel=model, world=w, point=x,
-                stats=SearchStats(models_tested=tested + r * block + v + 1,
+                stats=SearchStats(models_tested=tested + c + 1,
                                   frames_tested=frames, elapsed_ms=elapsed,
                                   stop="countermodel", budget=budget))
         elapsed = (time.perf_counter() - started) * 1000.0

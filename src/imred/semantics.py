@@ -401,22 +401,22 @@ register_cache_clearer(_compile.cache_clear)
 
 
 def _moves(edges: Iterable[tuple[int, int]],
-           width: int) -> list[tuple[int, int, int]]:
+           copies: int = 1) -> list[tuple[int, int, int]]:
     """Quantifier edges grouped by offset, as lane-mask moves.
 
-    Slot s owns bits s * width up to (s + 1) * width - 1, one per lane;
-    an edge (s, t) says that slot s quantifies over slot t.  For each
-    offset d = t - s that occurs, returns (right shift, left shift,
-    selector): shifting a mask right, then left, moves slot s + d's
-    lanes onto slot s, and the selector covers the lanes of every slot
-    with an edge at offset d.
+    Slot s is bit s; an edge (s, t) says that slot s quantifies over
+    slot t.  For each offset d = t - s that occurs, returns (right
+    shift, left shift, selector): shifting a mask right, then left,
+    moves slot s + d onto slot s, and the selector covers every slot
+    with an edge at offset d.  The search's masks stack copies of an
+    n-slot table, bit c * n + i being slot i of copy c, and ``copies``,
+    with bit c * n set for each copy c, repeats each selector in every copy.
     """
-    full = (1 << width) - 1
     groups: dict[int, int] = {}
     for s, t in edges:
         d = t - s
-        groups[d] = groups.get(d, 0) | full << (s * width)
-    return [(d * width if d > 0 else 0, -d * width if d < 0 else 0, sel)
+        groups[d] = groups.get(d, 0) | 1 << s
+    return [(d if d > 0 else 0, -d if d < 0 else 0, sel * copies)
             for d, sel in sorted(groups.items())]
 
 
@@ -495,10 +495,10 @@ class TableContext:
         self.space = space
         later = [[v * P for v in bits_of(up[w]) if v != w]
                  for w in range(n_worlds)]
-        self.imp = _moves(((w * P + x, v + x) for w, x in pairs
-                           for v in later[w]), 1)
-        self.dia = _moves(((w * P + x, w * P + y) for w, x in pairs
-                           for y in bits_of((srel[w] >> (x * P)) & pmask)), 1)
+        self.imp = _moves((w * P + x, v + x) for w, x in pairs
+                          for v in later[w])
+        self.dia = _moves((w * P + x, w * P + y) for w, x in pairs
+                          for y in bits_of((srel[w] >> (x * P)) & pmask))
 
     @classmethod
     def for_model(cls, model: FiniteFSModel) -> "TableContext":

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from imred.formula import (And, Box, Diamond, Implies, Or, Var, clear_caches,
-                           length, structurally_equal, varset)
+                           length, structurally_equal, substitute, varset)
 from imred.reduction import (base_length, family_formula, ground_formulas,
                              level_count, spiral_cell, stability_level,
                              target_level)
@@ -140,7 +140,7 @@ def test_target_level():
 
 def test_family_variable_set_and_base_var():
     assert varset(family_formula("A", 3, 5)) == {1}
-    assert varset(family_formula("B", 2, 2, base_var=4)) == {4}
+    assert varset(substitute(family_formula("B", 2, 2), {1: Var(4)})) == {4}
 
 
 def test_memoization_transparent():

@@ -380,7 +380,7 @@ def test_packed_relation_lanes_match_naive_reference(shape):
     caps = (1, 7, 8, 9, 49, 64, 65, 130, 255, 256, 257, 513, 700)
     runs = [(phi, cap) for phi in formulas + packed for cap in caps]
     runs += [(phi, 2000) for phi in packed]
-    # a cap just below the first countermodel cuts its relation's layer
+    # a cap just below the first countermodel cuts its pass
     for phi in formulas + packed:
         first = find_countermodel(phi, SearchBudget(*shape, max_candidates=2000), FS)
         if first.refuted and first.stats.models_tested > 1:
@@ -457,7 +457,8 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
         assert reported(find_countermodel(phi, budget, kind)) == want
     groups = {}
     for (_, _, _, kind), kept in search._PASSES.items():
-        for frame, _, group, _, _, _, _ in kept:
+        for _, vals, group, _, _, _, _ in kept:
+            frame = vals.frame
             groups.setdefault((frame.up, frame.delta, kind), set()).add(group)
     assert any(a != b and set(a) & set(b) for met in groups.values()
                for a in met for b in met)
@@ -471,10 +472,10 @@ def retained():
 
 def pass_fields(step):
     """A pass with its frame tables spelled out field by field."""
-    frame, vals, *rest = step
-    return (frame, vals.frame, vals.var_bound, vals.assignments, vals.block,
-            vals.n_chunks, vals.per, vals.bits, vals.space, vals.spread,
-            vals.index, vals.imp, *rest)
+    first, vals, *rest = step
+    return (first, vals.frame, vals.var_bound, vals.assignments, vals.block,
+            vals.n_chunks, vals.per, vals.bits, vals.spread, vals.index,
+            vals.imp, *rest)
 
 
 def assert_memo_matches_fresh_passes():
@@ -622,7 +623,7 @@ def test_a_failed_extension_leaves_a_prefix_of_the_stream(monkeypatch):
     monkeypatch.setattr(search, "_srel_stream", stream)
     # the entry keeps the one-world passes built before the interrupt
     left = search._PASSES[2, 2, 1, FS]
-    assert left and all(frame.n_worlds == 1 for frame, *_ in left)
+    assert left and all(vals.frame.n_worlds == 1 for _, vals, *_ in left)
     assert (1, 2, 1, FS) in search._PASSES
     assert_memo_matches_fresh_passes()
     # the next search replays that prefix and reads on past it
