@@ -31,7 +31,13 @@ of the first _KEEP candidates with their frame tables, chunks and <>
 moves.  A search replays them, then reads a fresh stream past them and
 keeps its passes while fewer than _KEEP candidates are kept, so a long
 search keeps no more than a short one.  Compiled formulas come from the
-bounded compile memo of ``imred.semantics``; ``clear_caches`` empties both.
+bounded compile memo of ``imred.semantics``.
+
+The consistency probe searches its one-variable output through the
+substitution: it evaluates the positive form on the truth masks of the
+images A_r | B_r, by compositionality the output's masks, and a second
+memo keeps each image's masks on the kept passes.  ``clear_caches``
+empties all three memos.
 
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
@@ -49,10 +55,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .formula import Formula, register_cache_clearer, varset
-from .reduction import OneVarSubstitution, PositiveEmbedding, reduce_to_one_var
+from .formula import Formula, Or, register_cache_clearer, varset
+from .reduction import (OneVarSubstitution, PositiveEmbedding, family_formula,
+                        reduce_to_one_var)
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain, monotone_masks,
                         pair_space, supersets_asc, transitive_up,
@@ -416,7 +423,10 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
     the lowest failing bit gives the first falsified candidate and its
     least failing pair, and a pass cut by the candidate cap checks
     exactly the candidates below it.  The time cap is checked before
-    each pass.
+    each pass.  The one-variable search of
+    :func:`check_translation_consistency` runs the same loop on the
+    positive form, with variable masks taken from its substitution
+    images.
 
     Searches in one process share the formula-free passes of a budget
     shape and kind (frame tables with the -> moves, valuation lane
@@ -431,6 +441,18 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
     if top > budget.var_bound:
         raise ValueError(
             f"formula uses p{top} but the budget allows {budget.var_bound} variables")
+    return _search(_compile(phi)[1], phi, budget, kind,
+                   _memo_passes(budget, kind))
+
+
+def _search(code: tuple[tuple[str, int, int], ...], phi: Formula,
+            budget: SearchBudget, kind: str,
+            passes: Iterable[tuple]) -> RefutationResult:
+    """The search loop: the first candidate of ``passes`` (in the layout
+    of :func:`_passes`, read under _LOCK) at which the root of ``code``
+    fails, its certificate re-checked against ``phi``.  ``code`` is
+    evaluated on each pass's own variable masks, so it may be a formula
+    other than ``phi`` that has phi's truth masks on them."""
     time_cap = budget.time_cap_ms
     if time_cap is None:
         env = os.environ.get(TIME_CAP_ENV)
@@ -442,14 +464,12 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
                     f"{TIME_CAP_ENV} must be a number, got {env!r}") from None
             _check_cap(time_cap, TIME_CAP_ENV)
     cap = budget.max_candidates
-    code = _compile(phi)[1]
     with _LOCK:
         started = time.perf_counter()
         tested = 0
         frames = 0
         stop = "exhausted"
-        for first, vals, group, dia, chunk, space, var_masks in \
-                _memo_passes(budget, kind):
+        for first, vals, group, dia, chunk, space, var_masks in passes:
             if cap is not None and tested >= cap:
                 stop = "candidate-cap"
                 break
@@ -488,6 +508,84 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
                               elapsed_ms=elapsed, stop=stop, budget=budget))
 
 
+# The image masks of the kept passes, by (max_worlds, max_points,
+# var_bound, kind, image): for each of the shape's _PASSES entries in
+# order, the image's truth mask and the mask with bit c * n set for each
+# candidate c under which the image holds at every pair.  Read and
+# extended under _LOCK, never past the shape's kept passes.
+_IMAGES: dict[tuple, list[tuple[int, int]]] = {}
+register_cache_clearer(_IMAGES.clear)
+
+
+class _ImagePasses:
+    """The passes of ``budget`` and ``kind`` for a formula whose variable
+    p_r stands for ``images[r - 1]``: each pass carries the images'
+    truth masks as its variable masks, from _IMAGES on the kept passes
+    and fresh past them.  :meth:`held` counts the candidates of a search
+    over these passes at which every image held at every pair."""
+
+    def __init__(self, images: tuple[Formula, ...], budget: SearchBudget,
+                 kind: str):
+        self.images, self.budget, self.kind = images, budget, kind
+        # totals over the passes before the last one read, which a search
+        # reads on from only once it has tested all their candidates
+        self.tested = self.held_before = 0
+        self.last_held = self.last_n = self.last_count = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        budget, kind = self.budget, self.kind
+        shape = (budget.max_worlds, budget.max_points, budget.var_bound, kind)
+        kept = _PASSES.setdefault(shape, [])
+        memos = [_IMAGES.setdefault(shape + (image,), []) for image in self.images]
+        for k, (first, vals, group, dia, chunk, space, var_masks) in \
+                enumerate(_memo_passes(budget, kind)):
+            n = len(vals.frame.pairs)
+            count = len(group) * len(chunk)
+            masks = [0]
+            held = -1 if memos else _layers(count, n)
+            for image, memo in zip(self.images, memos):
+                if k < len(memo):
+                    mask, everywhere = memo[k]
+                else:
+                    mask = _evaluate(_compile(image)[1], var_masks, space,
+                                     vals.imp, dia)[-1]
+                    fails = folded = space & ~mask
+                    for j in range(1, n):
+                        folded |= fails >> j
+                    everywhere = _layers(count, n) & ~folded
+                    if k < len(kept):
+                        memo.append((mask, everywhere))
+                masks.append(mask)
+                held &= everywhere
+            self.held_before += self.last_held.bit_count()
+            self.tested += self.last_count
+            self.last_held, self.last_n, self.last_count = held, n, count
+            yield first, vals, group, dia, chunk, space, masks
+
+    def held(self, tested: int) -> int:
+        """Candidates among the first ``tested`` read at which every image
+        held at every (world, point) pair."""
+        part = (tested - self.tested) * self.last_n
+        return self.held_before + (self.last_held & (1 << part) - 1).bit_count()
+
+
+def _search_images(phi: Formula, images: tuple[Formula, ...], output: Formula,
+                   budget: SearchBudget, kind: str) -> tuple[RefutationResult, int]:
+    """``find_countermodel(output, budget, kind)`` for ``output``, the
+    substitution of ``images[r - 1]`` for each variable p_r of ``phi``,
+    searched by evaluating ``phi`` on the images' truth masks, and the
+    count of candidates tested at which every image held everywhere.
+
+    Truth is compositional, so on every pass the mask of ``phi`` over the
+    image masks is the mask of ``output``: verdicts, counts, stop reasons
+    and certificates are those of the full search, and a certificate is
+    still re-checked against ``output``.
+    """
+    passes = _ImagePasses(images, budget, kind)
+    result = _search(_compile(phi)[1], output, budget, kind, passes)
+    return result, passes.held(result.stats.models_tested)
+
+
 CONSISTENT = "consistent"
 SOFT_MISS = "soft-miss"
 CONTRADICTION = "contradiction"
@@ -511,7 +609,13 @@ def classify_pair(input_result: RefutationResult,
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Outcome of one translation-consistency probe."""
+    """Outcome of one translation-consistency probe.
+
+    ``images_held`` counts the one-variable candidates tested at which
+    every substitution image A_r | B_r held at every (world, point), so
+    that the output had the truth of the positive form with every
+    variable true.
+    """
 
     input: Formula
     embedding: PositiveEmbedding
@@ -521,6 +625,7 @@ class ConsistencyReport:
     one_var_result: RefutationResult
     positive_outcome: str
     one_var_outcome: str
+    images_held: int
 
     @property
     def contradiction(self) -> bool:
@@ -540,18 +645,31 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     translation failure by itself.  The three searches share the
     library's pass memo and compile memo (see
     :func:`find_countermodel`); ``table_cache`` is accepted and ignored.
+
+    The one-variable search evaluates the renumbered positive form, not
+    the output DAG: the mask of its variable p_r on each pass is the
+    truth mask of the image A_r | B_r, memoized for the kept passes.
+    Truth is compositional, so its result is that of
+    ``find_countermodel`` on the output, and a certificate is re-checked
+    against the full output.
     """
     report = reduce_to_one_var(phi)
     positive, one_var = report.embedding.positive_form, report.output
+    sub = report.substitution
     input_result = find_countermodel(phi, budget_in, kind)
     positive_result = find_countermodel(positive, dataclasses.replace(
         budget_out, var_bound=max(varset(positive), default=0)), kind)
-    one_var_result = find_countermodel(one_var, dataclasses.replace(
-        budget_out, var_bound=max(varset(one_var), default=0)), kind)
+    budget_one = dataclasses.replace(
+        budget_out, var_bound=max(varset(one_var), default=0))
+    images = tuple(Or(family_formula("A", sub.level, rank),
+                      family_formula("B", sub.level, rank))
+                   for _, rank in sub.var_map)
+    one_var_result, held = _search_images(sub.renumbered, images, one_var,
+                                          budget_one, kind)
     return ConsistencyReport(
-        input=phi, embedding=report.embedding,
-        substitution=report.substitution,
+        input=phi, embedding=report.embedding, substitution=sub,
         input_result=input_result, positive_result=positive_result,
         one_var_result=one_var_result,
         positive_outcome=classify_pair(input_result, positive_result),
-        one_var_outcome=classify_pair(input_result, one_var_result))
+        one_var_outcome=classify_pair(input_result, one_var_result),
+        images_held=held)

@@ -10,8 +10,9 @@ import pytest
 
 from imred import search
 from imred.corpus import random_formula, refutable_corpus
-from imred.formula import BOTTOM, Box, Implies, Var, clear_caches, varset
-from imred.reduction import positive_embed, star
+from imred.formula import (BOTTOM, Box, Implies, Or, Var, clear_caches,
+                           substitute, varset)
+from imred.reduction import family_formula, positive_embed, star
 from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
                           check_translation_consistency, enumerate_models,
@@ -543,21 +544,36 @@ def test_compile_memo_shares_immutable_code():
 
 def test_concurrent_searches_share_the_cache_safely():
     # Threads interleave searches that read and extend the same budgets'
-    # kept passes; a lost or reordered append would change a candidate
-    # count or a certificate.
+    # kept passes and image masks; a lost or reordered append would change
+    # a candidate count or a certificate.
     rng = random.Random(41)
     runs = [(random_formula(rng, max_depth=3, n_vars=shape[2]),
              SearchBudget(*shape, max_candidates=3000), kind)
             for shape in ((2, 2, 1), (2, 2, 2), (3, 2, 1))
             for kind in (FS, MIPC) for _ in range(2)]
-    want = [reported(cold_search(*run)) for run in runs]
+    plain = len(runs)
+    images = varying_images()
+    bindings = dict(enumerate(images, 1))
+    runs += [(random_formula(rng, max_depth=3, n_vars=3),
+              SearchBudget(*shape, max_candidates=3000), kind)
+             for shape in ((2, 2, 1), (3, 2, 1)) for kind in (FS, MIPC)]
+    outputs = [phi if i < plain else substitute(phi, bindings)
+               for i, (phi, _, _) in enumerate(runs)]
+    want = [reported(cold_search(output, budget, kind))
+            for output, (_, budget, kind) in zip(outputs, runs)]
     errors = []
+
+    def run(i):
+        phi, budget, kind = runs[i]
+        if i < plain:
+            return find_countermodel(phi, budget, kind)
+        return search._search_images(phi, images, outputs[i], budget, kind)[0]
 
     def worker(offset):
         try:
             for k in range(len(runs)):
                 i = (k + offset) % len(runs)
-                if reported(find_countermodel(*runs[i])) != want[i]:
+                if reported(run(i)) != want[i]:
                     errors.append(i)
         except Exception as err:  # reported through ``errors``
             errors.append(err)
@@ -577,6 +593,7 @@ def test_concurrent_searches_share_the_cache_safely():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert_memo_matches_fresh_passes()
+    assert_image_memo_matches_kept_passes()
 
 
 # Searches that end inside the kept passes, exhaust a stream shorter or
@@ -679,3 +696,130 @@ def test_the_memo_holds_no_generator():
         assert not isinstance(obj, (types.GeneratorType, Iterator)), obj
         todo.extend(gc.get_referents(obj))
     assert len(seen) > len(search._PASSES)
+
+
+def image_budget_boundaries(budget, kind, count):
+    """The candidate counts at which the first ``count`` passes end."""
+    ends = itertools.accumulate(len(step[2]) * len(step[4])
+                                for step in search._passes(budget, kind))
+    return list(itertools.islice(ends, count))
+
+
+def assert_image_memo_matches_kept_passes():
+    """Each image memo entry is no longer than its shape's kept passes,
+    and holds the image's mask on each of them."""
+    assert search._IMAGES
+    for (*shape, image), memo in search._IMAGES.items():
+        kept = search._PASSES[tuple(shape)]
+        assert len(memo) <= len(kept)
+        code = _compile(image)[1]
+        for (mask, _), (_, vals, _, dia, _, space, var_masks) in zip(memo, kept):
+            assert mask == search._evaluate(code, var_masks, space, vals.imp,
+                                            dia)[-1]
+
+
+def varying_images():
+    """One-variable images that do not hold everywhere on every model."""
+    return (parse_formula("<>p1"), parse_formula("p1 -> []p1"),
+            Or(family_formula("A", 0, 1), family_formula("B", 0, 1)))
+
+
+def images_held_reference(images, budget, kind, tested):
+    """Among the first ``tested`` candidates, those at which every image
+    holds at every (world, point)."""
+    return sum(all(true_in_model(model, image) for image in images)
+               for model in itertools.islice(enumerate_models(budget, kind),
+                                             tested))
+
+
+@pytest.mark.parametrize("kind", [FS, MIPC])
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1)])
+def test_image_search_matches_the_substituted_search(kind, shape):
+    rng = random.Random(f"images:{kind}:{shape}")
+    formulas = [random_formula(rng, max_depth=3, n_vars=3) for _ in range(8)]
+    formulas.append(parse_formula("p2 -> p2 | p3"))
+    # caps at, just below and just above the first pass ends
+    caps = {1, 700}
+    for end in image_budget_boundaries(SearchBudget(*shape), kind, 8):
+        caps |= {end - 1, end, end + 1}
+    runs = [(phi, cap) for phi in formulas for cap in sorted(caps)]
+    # a search that reads past the kept passes, where masks are computed fresh
+    runs.append((formulas[-1], 3 * search._KEEP))
+    clear_caches()
+    images = varying_images()
+    for phi, cap in runs + runs[::-1]:
+        budget = SearchBudget(*shape, max_candidates=cap)
+        output = substitute(phi, dict(enumerate(images, 1)))
+        result, held = search._search_images(phi, images, output, budget, kind)
+        assert reported(result) == reported(
+            find_countermodel(output, budget, kind)), (print_formula(phi), cap)
+        assert 0 <= held <= result.stats.models_tested
+        if cap <= 700:
+            assert held == images_held_reference(
+                images, budget, kind, result.stats.models_tested)
+    assert_image_memo_matches_kept_passes()
+    assert any(len(memo) == len(search._PASSES[key[:4]])
+               for key, memo in search._IMAGES.items())
+    clear_caches()
+    assert not search._IMAGES
+
+
+def test_image_search_across_valuation_chunks():
+    # At (2, 2, 3) MIPC, frames of 512 valuations start at candidate 227,
+    # so caps 482, 483 and 484 cut at and across a chunk boundary; the
+    # images use all three variables.
+    images = tuple(map(parse_formula, ("<>p1 & p2", "p3 -> []p1", "p2 | <>p3")))
+    bindings = dict(enumerate(images, 1))
+    rng = random.Random("image chunks")
+    formulas = [random_formula(rng, max_depth=3, n_vars=3) for _ in range(6)]
+    formulas.append(parse_formula("p1 -> p1"))
+    for phi in formulas:
+        for cap in (1, 226, 227, 482, 483, 484, 1000):
+            budget = SearchBudget(2, 2, 3, max_candidates=cap)
+            output = substitute(phi, bindings)
+            result, held = search._search_images(phi, images, output, budget, MIPC)
+            assert reported(result) == reported(
+                find_countermodel(output, budget, MIPC)), (print_formula(phi), cap)
+            assert held == images_held_reference(
+                images, budget, MIPC, result.stats.models_tested)
+    assert_image_memo_matches_kept_passes()
+
+
+def test_image_search_rechecks_against_the_output(monkeypatch):
+    rechecked = []
+    recheck = search._recheck_certificate
+
+    def spying(model, w, x, phi):
+        rechecked.append(phi)
+        return recheck(model, w, x, phi)
+
+    monkeypatch.setattr(search, "_recheck_certificate", spying)
+    phi, images = parse_formula("p1 | p2"), varying_images()[:2]
+    output = substitute(phi, dict(enumerate(images, 1)))
+    result, _ = search._search_images(phi, images, output,
+                                      SearchBudget(2, 2, 1), FS)
+    assert result.refuted
+    assert rechecked == [output]
+    assert not eval_formula_plain(result.countermodel, result.world,
+                                  result.point, output)
+
+
+def test_probe_reports_candidates_with_images_true_everywhere():
+    # At the bench probe budgets every level-6 image A_r | B_r holds at
+    # every (world, point) of every candidate tested.
+    budget_in = SearchBudget(2, 2, 2, max_candidates=4000)
+    budget_out = SearchBudget(2, 2, 2, max_candidates=1500)
+    for phi in refutable_corpus(606, 100, budget_in, FS)[:10]:
+        report = check_translation_consistency(phi, budget_in, budget_out, FS)
+        assert report.images_held == report.one_var_result.stats.models_tested
+
+
+def test_image_search_without_images_is_the_plain_search():
+    # The probe's positive form always holds its fresh variable, but a
+    # formula without variables needs no images: every candidate counts.
+    for text in ("false -> false", "<>(false -> false) -> false"):
+        phi = parse_formula(text)
+        for budget in (SearchBudget(2, 2, 0), SearchBudget(2, 3, 0, max_candidates=9)):
+            result, held = search._search_images(phi, (), phi, budget, FS)
+            assert reported(result) == reported(find_countermodel(phi, budget, FS))
+            assert held == result.stats.models_tested
