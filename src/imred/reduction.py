@@ -319,6 +319,7 @@ class OneVarSubstitution:
     (ascending original order).  ``input_level`` is the least k with the
     renumbered input shorter than base_size * 5^k, and ``level`` =
     input_level + stable_level is where the family members are taken.
+    ``images`` holds the image A_r | B_r of each rank r in rank order.
     """
 
     input: Formula
@@ -327,6 +328,7 @@ class OneVarSubstitution:
     input_level: int
     stable_level: int
     level: int
+    images: tuple[Formula, ...]
     result: Formula
 
 
@@ -337,10 +339,10 @@ def star(phi: Formula) -> OneVarSubstitution:
     The input's variables are densely renumbered to p1..ps in ascending
     index order; p_r is then replaced by A_r | B_r from the family level
     input_level + stable_level, which leaves a positive formula over the
-    single variable p1.  A formula with no variables is returned
-    unchanged.  Raises ValueError on non-positive input and RuntimeError
-    if the family level cannot accommodate all variables (cannot happen
-    unless the level arithmetic is broken).
+    single variable p1; a positive formula has at least one variable,
+    false being its only constant.  Raises ValueError on non-positive
+    input and RuntimeError if the family level cannot accommodate all
+    variables (cannot happen unless the level arithmetic is broken).
     """
     if not is_positive(phi):
         raise ValueError("the one-variable substitution requires a positive formula")
@@ -354,24 +356,21 @@ def star(phi: Formula) -> OneVarSubstitution:
     k0 = stability_level()
     level = k + k0
     s = len(original)
-    if s == 0:
-        result = renumbered
-    else:
-        if level_count(level) <= s:
-            raise RuntimeError(
-                f"family level {level} holds only {level_count(level)} "
-                f"formulas but the input has {s} variables")
-        images = {rank: Or(family_formula("A", level, rank),
-                           family_formula("B", level, rank))
-                  for _, rank in var_map}
-        result = substitute(renumbered, images)
-        if result.vars != frozenset((1,)):
-            raise RuntimeError("substitution did not collapse to one variable")
+    if level_count(level) <= s:
+        raise RuntimeError(
+            f"family level {level} holds only {level_count(level)} "
+            f"formulas but the input has {s} variables")
+    images = tuple([Or(family_formula("A", level, rank),
+                       family_formula("B", level, rank))
+                    for rank in range(1, s + 1)])
+    result = substitute(renumbered, dict(enumerate(images, 1)))
+    if result.vars != frozenset((1,)):
+        raise RuntimeError("substitution did not collapse to one variable")
     if not result.positive:
         raise RuntimeError("substitution lost positivity")
     return OneVarSubstitution(
         input=phi, var_map=var_map, renumbered=renumbered, input_level=k,
-        stable_level=k0, level=level, result=result)
+        stable_level=k0, level=level, images=images, result=result)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ bounded compile memo of ``imred.semantics``.
 
 The consistency probe searches its one-variable output through the
 substitution: it evaluates the positive form on the truth masks of the
-images A_r | B_r, by compositionality the output's masks, and a second
-memo keeps each image's masks on the kept passes.  ``clear_caches``
-empties all three memos.
+images A_r | B_r, by compositionality the output's masks, and each kept
+pass keeps its images' masks in a dict of its own.  ``clear_caches``
+empties the pass memo with those dicts, the bounded LRU of frames per
+world and point count, and the compile memo.
 
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
@@ -57,8 +58,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .formula import Formula, Or, register_cache_clearer, varset
-from .reduction import (OneVarSubstitution, PositiveEmbedding, family_formula,
+from .formula import Formula, register_cache_clearer, varset
+from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         reduce_to_one_var)
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain, monotone_masks,
@@ -80,7 +81,8 @@ class SearchBudget:
     ``time_cap_ms`` stop the search early; both are optional, must be
     positive when given, and a missing time cap falls back to the
     IMRED_TIME_CAP_MS environment variable at search time, which must
-    be positive too.
+    be positive too.  Every bound but the time cap is an int (a bool is
+    not).
     """
 
     max_worlds: int
@@ -90,12 +92,15 @@ class SearchBudget:
     time_cap_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_worlds < 1 or self.max_points < 1:
-            raise ValueError("budgets need at least one world and one point")
-        if self.var_bound < 0:
-            raise ValueError("variable bound must be >= 0")
-        for cap in (self.max_candidates, self.time_cap_ms):
-            _check_cap(cap)
+        for name, least in (("max_worlds", 1), ("max_points", 1),
+                            ("var_bound", 0), ("max_candidates", 1)):
+            value = getattr(self, name)
+            if value is None and name == "max_candidates":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        _check_cap(self.time_cap_ms)
 
 
 def _check_cap(cap: float | None, name: str = "caps") -> float | None:
@@ -217,6 +222,9 @@ def _frames(n_worlds: int, max_points: int) -> tuple[_Frame, ...]:
     return tuple(frames)
 
 
+register_cache_clearer(_frames.cache_clear)
+
+
 def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:
     """Monotone relation assignments, ascending; MIPC forces totality."""
     if kind == MIPC:
@@ -326,10 +334,12 @@ class _Valuations:
 
 def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     """Every pass in canonical order: (first, vals, group, dia, chunk,
-    space, var_masks), for whether it is its frame's first pass, the
-    frame's tables ``vals``, a relation group, its diamond moves, the
-    valuations of a chunk, and the space and variable masks repeated
-    once per relation of the group.
+    space, var_masks, memo), for whether it is its frame's first pass,
+    the frame's tables ``vals``, a relation group, its diamond moves, the
+    valuations of a chunk, the space and variable masks repeated once
+    per relation of the group, and a fresh dict in which a search may
+    keep masks of the pass: kept with the pass in _PASSES, dropped with
+    it past them.
 
     A group holds ``size`` consecutive relations of a frame, at most the
     frame's ``per``.  ``size`` starts at 1 and doubles after each pass
@@ -359,7 +369,7 @@ def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
                     if len(group) > 1:
                         copies = _layers(len(group), vals.bits)
                         var_masks = [m * copies for m in var_masks]
-                    yield first, vals, group, dia, chunk, space, var_masks
+                    yield first, vals, group, dia, chunk, space, var_masks, {}
                     first = False
                     if size < per:
                         size = min(2 * size, per)
@@ -384,7 +394,7 @@ def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     kept = _PASSES.setdefault(
         (budget.max_worlds, budget.max_points, budget.var_bound, kind), [])
     yield from kept
-    seen = sum(len(group) * len(chunk) for _, _, group, _, chunk, _, _ in kept)
+    seen = sum(len(step[2]) * len(step[4]) for step in kept)
     for step in itertools.islice(_passes(budget, kind), len(kept), None):
         if seen < _KEEP:
             kept.append(step)
@@ -412,30 +422,15 @@ def find_countermodel(phi: Formula, budget: SearchBudget,
     returned certificate names the least (world, point) pair at which
     the formula fails and has been re-validated and re-evaluated.  An
     exhausted result carries statistics including whether a candidate or
-    time cap stopped the search early.
+    time cap stopped the search early: a search cut by the candidate cap
+    tests exactly the candidates below it, and the time cap is checked
+    before each pass of up to 256 candidates.
 
-    One pass of the evaluator checks up to 256 consecutive candidates of
-    a frame: a chunk of one relation's valuations or, when a frame has
-    at most 128 valuations, several relations under all of them.  The
-    first pass holds one relation and each pass that refutes nothing
-    doubles the next one's group, up to what fits the lanes.  Bit
-    c * n + i of a pass's masks is frame pair i under candidate c, so
-    the lowest failing bit gives the first falsified candidate and its
-    least failing pair, and a pass cut by the candidate cap checks
-    exactly the candidates below it.  The time cap is checked before
-    each pass.  The one-variable search of
-    :func:`check_translation_consistency` runs the same loop on the
-    positive form, with variable masks taken from its substitution
-    images.
-
-    Searches in one process share the formula-free passes of a budget
-    shape and kind (frame tables with the -> moves, valuation lane
-    chunks, relation groups with their <> moves), kept in a module memo
-    for the first _KEEP (8,192) candidates, and the compiled formula,
-    kept in the bounded compile memo of ``imred.semantics``.  A later
-    search with the same shape replays the kept passes, then reads on
-    from a fresh stream that skips them.  ``imred.formula.clear_caches``
-    empties both caches.  Results never depend on the caches.
+    Searches in one process share their passes, frame tables and
+    compiled formulas, as the module docstring describes, and the
+    one-variable search of :func:`check_translation_consistency` runs
+    the same loop.  ``imred.formula.clear_caches`` empties those caches;
+    results never depend on them.
     """
     top = max(varset(phi), default=0)
     if top > budget.var_bound:
@@ -469,7 +464,7 @@ def _search(code: tuple[tuple[str, int, int], ...], phi: Formula,
         tested = 0
         frames = 0
         stop = "exhausted"
-        for first, vals, group, dia, chunk, space, var_masks in passes:
+        for first, vals, group, dia, chunk, space, var_masks, _ in passes:
             if cap is not None and tested >= cap:
                 stop = "candidate-cap"
                 break
@@ -508,67 +503,6 @@ def _search(code: tuple[tuple[str, int, int], ...], phi: Formula,
                               elapsed_ms=elapsed, stop=stop, budget=budget))
 
 
-# The image masks of the kept passes, by (max_worlds, max_points,
-# var_bound, kind, image): for each of the shape's _PASSES entries in
-# order, the image's truth mask and the mask with bit c * n set for each
-# candidate c under which the image holds at every pair.  Read and
-# extended under _LOCK, never past the shape's kept passes.
-_IMAGES: dict[tuple, list[tuple[int, int]]] = {}
-register_cache_clearer(_IMAGES.clear)
-
-
-class _ImagePasses:
-    """The passes of ``budget`` and ``kind`` for a formula whose variable
-    p_r stands for ``images[r - 1]``: each pass carries the images'
-    truth masks as its variable masks, from _IMAGES on the kept passes
-    and fresh past them.  :meth:`held` counts the candidates of a search
-    over these passes at which every image held at every pair."""
-
-    def __init__(self, images: tuple[Formula, ...], budget: SearchBudget,
-                 kind: str):
-        self.images, self.budget, self.kind = images, budget, kind
-        # totals over the passes before the last one read, which a search
-        # reads on from only once it has tested all their candidates
-        self.tested = self.held_before = 0
-        self.last_held = self.last_n = self.last_count = 0
-
-    def __iter__(self) -> Iterator[tuple]:
-        budget, kind = self.budget, self.kind
-        shape = (budget.max_worlds, budget.max_points, budget.var_bound, kind)
-        kept = _PASSES.setdefault(shape, [])
-        memos = [_IMAGES.setdefault(shape + (image,), []) for image in self.images]
-        for k, (first, vals, group, dia, chunk, space, var_masks) in \
-                enumerate(_memo_passes(budget, kind)):
-            n = len(vals.frame.pairs)
-            count = len(group) * len(chunk)
-            masks = [0]
-            held = -1 if memos else _layers(count, n)
-            for image, memo in zip(self.images, memos):
-                if k < len(memo):
-                    mask, everywhere = memo[k]
-                else:
-                    mask = _evaluate(_compile(image)[1], var_masks, space,
-                                     vals.imp, dia)[-1]
-                    fails = folded = space & ~mask
-                    for j in range(1, n):
-                        folded |= fails >> j
-                    everywhere = _layers(count, n) & ~folded
-                    if k < len(kept):
-                        memo.append((mask, everywhere))
-                masks.append(mask)
-                held &= everywhere
-            self.held_before += self.last_held.bit_count()
-            self.tested += self.last_count
-            self.last_held, self.last_n, self.last_count = held, n, count
-            yield first, vals, group, dia, chunk, space, masks
-
-    def held(self, tested: int) -> int:
-        """Candidates among the first ``tested`` read at which every image
-        held at every (world, point) pair."""
-        part = (tested - self.tested) * self.last_n
-        return self.held_before + (self.last_held & (1 << part) - 1).bit_count()
-
-
 def _search_images(phi: Formula, images: tuple[Formula, ...], output: Formula,
                    budget: SearchBudget, kind: str) -> tuple[RefutationResult, int]:
     """``find_countermodel(output, budget, kind)`` for ``output``, the
@@ -579,11 +513,45 @@ def _search_images(phi: Formula, images: tuple[Formula, ...], output: Formula,
     Truth is compositional, so on every pass the mask of ``phi`` over the
     image masks is the mask of ``output``: verdicts, counts, stop reasons
     and certificates are those of the full search, and a certificate is
-    still re-checked against ``output``.
+    still re-checked against ``output``.  Each pass keeps, in its own
+    memo under the image, the image's truth mask and the mask with bit
+    c * n set for each candidate c under which the image holds at every
+    pair; the kept passes keep theirs for later searches.
     """
-    passes = _ImagePasses(images, budget, kind)
-    result = _search(_compile(phi)[1], output, budget, kind, passes)
-    return result, passes.held(result.stats.models_tested)
+    codes = [(image, _compile(image)[1]) for image in images]
+    # candidates and held candidates of the passes before the last one
+    # read, which a search reads on from only once it has tested all
+    # their candidates, then the last pass's count, n and held mask
+    tested = held = count = n = last = 0
+
+    def passes() -> Iterator[tuple]:
+        nonlocal tested, held, count, n, last
+        for first, vals, group, dia, chunk, space, var_masks, memo in \
+                _memo_passes(budget, kind):
+            tested += count
+            held += last.bit_count()
+            n = len(vals.frame.pairs)
+            count = len(group) * len(chunk)
+            # with no images every candidate counts as held
+            last = -1 if codes else _layers(count, n)
+            layers = 0
+            masks = [0]
+            for image, code in codes:
+                hit = memo.get(image)
+                if hit is None:
+                    layers = layers or _layers(count, n)
+                    mask = _evaluate(code, var_masks, space, vals.imp, dia)[-1]
+                    fails = folded = space & ~mask
+                    for j in range(1, n):
+                        folded |= fails >> j
+                    hit = memo[image] = mask, layers & ~folded
+                masks.append(hit[0])
+                last &= hit[1]
+            yield first, vals, group, dia, chunk, space, masks, memo
+
+    result = _search(_compile(phi)[1], output, budget, kind, passes())
+    part = (result.stats.models_tested - tested) * n
+    return result, held + (last & (1 << part) - 1).bit_count()
 
 
 CONSISTENT = "consistent"
@@ -648,7 +616,8 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
 
     The one-variable search evaluates the renumbered positive form, not
     the output DAG: the mask of its variable p_r on each pass is the
-    truth mask of the image A_r | B_r, memoized for the kept passes.
+    truth mask of the image A_r | B_r of ``substitution.images``,
+    memoized on the kept passes.
     Truth is compositional, so its result is that of
     ``find_countermodel`` on the output, and a certificate is re-checked
     against the full output.
@@ -661,10 +630,7 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
         budget_out, var_bound=max(varset(positive), default=0)), kind)
     budget_one = dataclasses.replace(
         budget_out, var_bound=max(varset(one_var), default=0))
-    images = tuple(Or(family_formula("A", sub.level, rank),
-                      family_formula("B", sub.level, rank))
-                   for _, rank in sub.var_map)
-    one_var_result, held = _search_images(sub.renumbered, images, one_var,
+    one_var_result, held = _search_images(sub.renumbered, sub.images, one_var,
                                           budget_one, kind)
     return ConsistencyReport(
         input=phi, embedding=report.embedding, substitution=sub,

@@ -8,8 +8,9 @@ from hypothesis import given
 from imred.corpus import formula_with_length, random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            is_positive, length, mdepth, varset)
-from imred.reduction import (base_length, positive_embed, reduce_to_one_var,
-                             stability_level, star, target_level)
+from imred.reduction import (base_length, family_formula, positive_embed,
+                             reduce_to_one_var, stability_level, star,
+                             target_level)
 from imred.syntax import parse_formula
 
 
@@ -85,8 +86,7 @@ def test_star_single_variable_output():
 
 def test_no_positive_formula_is_variable_free():
     # Variable-free formulas are built from false alone, so they are
-    # never positive; the empty-substitution path of star is therefore
-    # unreachable through its contract.
+    # never positive, so star always substitutes at least one variable.
     @given(formulas(max_vars=3))
     def check(phi):
         assert varset(phi) or not is_positive(phi)
@@ -101,6 +101,9 @@ def test_star_renumbers_sparse_variables():
     assert varset(out.renumbered) == {1, 2}
     assert out.renumbered is And(Var(1), Var(2))
     assert varset(out.result) == {1}
+    assert out.images == tuple(Or(family_formula("A", out.level, rank),
+                                  family_formula("B", out.level, rank))
+                               for rank in (1, 2))
 
 
 def test_star_touches_exactly_the_input_variables():

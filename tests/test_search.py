@@ -39,6 +39,20 @@ def test_budget_validation():
         SearchBudget(1, 1, 1, max_candidates=0)
 
 
+@pytest.mark.parametrize("bounds,cap", [
+    ((2, 2, 1), 1.5), ((2, 2, 1), 2.0), ((2, 2, 1), True),
+    ((2.5, 2, 1), None), ((2, 2.0, 1), None), ((2, 2, 1.0), None),
+    ((True, 2, 1), None), ((2, 2, False), None), ((None, 2, 1), None)])
+def test_budget_bounds_must_be_ints(bounds, cap):
+    with pytest.raises(ValueError, match="must be an int >= "):
+        SearchBudget(*bounds, max_candidates=cap)
+
+
+def test_budget_time_cap_may_be_a_float():
+    budget = SearchBudget(1, 1, 1, max_candidates=3, time_cap_ms=2.5)
+    assert find_countermodel(parse_formula("p1"), budget, FS).refuted
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])
 def test_time_caps_must_be_positive(monkeypatch, value):
     with pytest.raises(ValueError, match="caps must be positive"):
@@ -411,7 +425,7 @@ def test_packed_refutations_sit_inside_full_groups():
         for shape in shapes:
             result = find_countermodel(parse_formula(text), SearchBudget(*shape), FS)
             assert result.stats.models_tested == tested
-            _, vals, group, _, _, _, _ = kept_pass_at((*shape, FS), tested)
+            _, vals, group, _, _, _, _, _ = kept_pass_at((*shape, FS), tested)
             assert len(group) > 1
             assert (len(group) == vals.per) == full
             assert group.index(result.countermodel.srel) == at
@@ -458,7 +472,7 @@ def test_shared_table_cache_across_group_sizes_matches_cold_searches():
         assert reported(find_countermodel(phi, budget, kind)) == want
     groups = {}
     for (_, _, _, kind), kept in search._PASSES.items():
-        for _, vals, group, _, _, _, _ in kept:
+        for _, vals, group, _, _, _, _, _ in kept:
             frame = vals.frame
             groups.setdefault((frame.up, frame.delta, kind), set()).add(group)
     assert any(a != b and set(a) & set(b) for met in groups.values()
@@ -472,8 +486,9 @@ def retained():
 
 
 def pass_fields(step):
-    """A pass with its frame tables spelled out field by field."""
-    first, vals, *rest = step
+    """A pass with its frame tables spelled out field by field, less its
+    memo: a kept pass's may hold image masks, a fresh one's is empty."""
+    first, vals, *rest, _ = step
     return (first, vals.frame, vals.var_bound, vals.assignments, vals.block,
             vals.n_chunks, vals.per, vals.bits, vals.spread, vals.index,
             vals.imp, *rest)
@@ -528,9 +543,11 @@ def test_clear_caches_empties_frame_tables_and_compile_memo():
     truth_table(model, phi)
     assert search._PASSES
     assert _compile.cache_info().currsize > 0
+    assert search._frames.cache_info().currsize > 0
     clear_caches()
     assert not search._PASSES
     assert _compile.cache_info().currsize == 0
+    assert search._frames.cache_info().currsize == 0
 
 
 def test_compile_memo_shares_immutable_code():
@@ -706,16 +723,14 @@ def image_budget_boundaries(budget, kind, count):
 
 
 def assert_image_memo_matches_kept_passes():
-    """Each image memo entry is no longer than its shape's kept passes,
-    and holds the image's mask on each of them."""
-    assert search._IMAGES
-    for (*shape, image), memo in search._IMAGES.items():
-        kept = search._PASSES[tuple(shape)]
-        assert len(memo) <= len(kept)
-        code = _compile(image)[1]
-        for (mask, _), (_, vals, _, dia, _, space, var_masks) in zip(memo, kept):
-            assert mask == search._evaluate(code, var_masks, space, vals.imp,
-                                            dia)[-1]
+    """Some kept pass keeps image masks, and each kept pass's memo holds
+    each of its images' masks on that pass."""
+    kept = [step for steps in search._PASSES.values() for step in steps]
+    assert any(memo for *_, memo in kept)
+    for _, vals, _, dia, _, space, var_masks, memo in kept:
+        for image, (mask, _) in memo.items():
+            assert mask == search._evaluate(_compile(image)[1], var_masks,
+                                            space, vals.imp, dia)[-1]
 
 
 def varying_images():
@@ -758,10 +773,11 @@ def test_image_search_matches_the_substituted_search(kind, shape):
             assert held == images_held_reference(
                 images, budget, kind, result.stats.models_tested)
     assert_image_memo_matches_kept_passes()
-    assert any(len(memo) == len(search._PASSES[key[:4]])
-               for key, memo in search._IMAGES.items())
+    # some image is kept on every kept pass of the search's shape
+    kept = search._PASSES[(*shape, kind)]
+    assert any(all(image in memo for *_, memo in kept) for image in images)
     clear_caches()
-    assert not search._IMAGES
+    assert not search._PASSES
 
 
 def test_image_search_across_valuation_chunks():
@@ -783,6 +799,26 @@ def test_image_search_across_valuation_chunks():
             assert held == images_held_reference(
                 images, budget, MIPC, result.stats.models_tested)
     assert_image_memo_matches_kept_passes()
+
+
+def test_image_search_reuses_the_kept_image_masks(monkeypatch):
+    # A second search over the kept passes evaluates only phi on each.
+    phi, images = parse_formula("p1 -> p2 -> p1"), varying_images()[:2]
+    output = substitute(phi, dict(enumerate(images, 1)))
+    budget = SearchBudget(2, 2, 1, max_candidates=500)
+    clear_caches()
+    first, _ = search._search_images(phi, images, output, budget, FS)
+    calls = []
+    evaluate = search._evaluate
+
+    def counting(code, *args):
+        calls.append(code)
+        return evaluate(code, *args)
+
+    monkeypatch.setattr(search, "_evaluate", counting)
+    again, _ = search._search_images(phi, images, output, budget, FS)
+    assert reported(again) == reported(first)
+    assert len(calls) > 1 and set(calls) == {_compile(phi)[1]}
 
 
 def test_image_search_rechecks_against_the_output(monkeypatch):
