@@ -4,8 +4,7 @@ Output is plain text, one record per line, tab-separated where a record
 has fields.  Exit codes: 0 for success/true/exhausted, 1 for a refuted
 or failed check, 2 for usage, parse, validation or memory errors.  All
 randomness is seeded and the seed is echoed, so identical invocations
-produce identical bytes.  The environment variable IMRED_TIME_CAP_MS
-caps search time when no explicit cap is given.
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import argparse
 import random
 import sys
 
-from . import corpus, search, syntax
+from . import corpus, syntax
 from .formula import Formula, Var, length, substitute, varset
 from .reduction import (base_length, family_formula, level_count,
                         reduce_to_one_var, positive_embed, spiral_cell,
@@ -367,8 +366,7 @@ def _budget_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--max-candidates", type=int, default=None, metavar="N",
                      help="stop after testing N candidate models")
     cmd.add_argument("--time-cap-ms", type=float, default=None, metavar="MS",
-                     help=f"stop after MS milliseconds (default: "
-                          f"${search.TIME_CAP_ENV} if set)")
+                     help="stop after MS milliseconds")
 
 
 _COMMANDS = {

@@ -2,9 +2,9 @@
 
 Everything here draws from a caller-supplied ``random.Random``, so runs
 are reproducible from a seed.  Formula shape is controlled by a maximum
-depth, a variable count, a false-allowance flag and per-connective
-weights; sized generation joins random chunks until a target symbol
-length is reached.
+depth and a variable count; the share of false leaves and the mix of
+connectives are fixed.  Sized generation joins random chunks of depth 4
+until a target symbol length is reached.
 """
 
 from __future__ import annotations
@@ -16,26 +16,24 @@ from .formula import (And, BOTTOM, Box, Diamond, Formula, Implies, Or, Var,
 from .search import SearchBudget, find_countermodel
 from .semantics import FS, FiniteFSModel, build_model, transitive_up
 
-DEFAULT_WEIGHTS = {"and": 3, "or": 3, "imp": 3, "dia": 2, "box": 2}
+# The connectives of random_formula and their relative weights.
+_KINDS = ("and", "or", "imp", "dia", "box")
+_WEIGHTS = (3, 3, 3, 2, 2)
 
 
-def random_formula(rng: random.Random, *, max_depth: int = 4, n_vars: int = 2,
-                   allow_bottom: bool = True,
-                   weights: dict[str, int] | None = None) -> Formula:
+def random_formula(rng: random.Random, *, max_depth: int = 4,
+                   n_vars: int = 2) -> Formula:
     """One random formula of depth at most ``max_depth``."""
-    weights = weights or DEFAULT_WEIGHTS
-    kinds = list(weights)
-    pick = [weights[k] for k in kinds]
 
     def leaf() -> Formula:
-        if allow_bottom and rng.random() < 0.2:
+        if rng.random() < 0.2:
             return BOTTOM
         return Var(rng.randint(1, n_vars))
 
     def go(depth: int) -> Formula:
         if depth <= 0 or rng.random() < 0.25:
             return leaf()
-        kind = rng.choices(kinds, weights=pick)[0]
+        kind = rng.choices(_KINDS, weights=_WEIGHTS)[0]
         if kind == "and":
             return And(go(depth - 1), go(depth - 1))
         if kind == "or":
@@ -49,9 +47,8 @@ def random_formula(rng: random.Random, *, max_depth: int = 4, n_vars: int = 2,
     return go(max_depth)
 
 
-def formula_with_length(rng: random.Random, target: int, *, n_vars: int = 8,
-                        allow_bottom: bool = True,
-                        chunk_depth: int = 4) -> Formula:
+def formula_with_length(rng: random.Random, target: int, *,
+                        n_vars: int = 8) -> Formula:
     """A random formula whose length is at least ``target``.
 
     Joins independently drawn chunks with binary connectives, so the
@@ -60,12 +57,10 @@ def formula_with_length(rng: random.Random, target: int, *, n_vars: int = 8,
     """
     if target < 1:
         raise ValueError("target length must be >= 1")
-    chunks = [random_formula(rng, max_depth=chunk_depth, n_vars=n_vars,
-                             allow_bottom=allow_bottom)]
+    chunks = [random_formula(rng, n_vars=n_vars)]
     total = length(chunks[0])
     while total < target:
-        nxt = random_formula(rng, max_depth=chunk_depth, n_vars=n_vars,
-                             allow_bottom=allow_bottom)
+        nxt = random_formula(rng, n_vars=n_vars)
         chunks.append(nxt)
         total += length(nxt) + 1
     while len(chunks) > 1:
@@ -81,11 +76,11 @@ def formula_with_length(rng: random.Random, target: int, *, n_vars: int = 8,
 
 def random_model(rng: random.Random, *, max_worlds: int = 3,
                  max_points: int = 3, n_vars: int = 2,
-                 kind: str = FS, edge_prob: float = 0.4) -> FiniteFSModel:
+                 kind: str = FS) -> FiniteFSModel:
     """One random valid model; monotonicity holds by construction."""
     n = rng.randint(1, max_worlds)
     order = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < edge_prob]
+             if rng.random() < 0.4]
     up = transitive_up(n, order)
     points: dict[int, set[int]] = {}
     pool = 0
@@ -135,17 +130,15 @@ def random_model(rng: random.Random, *, max_worlds: int = 3,
 
 
 def refutable_corpus(seed: int, count: int, budget: SearchBudget,
-                     kind: str = FS, *, max_depth: int = 3,
-                     allow_bottom: bool = True,
-                     max_attempts: int | None = None) -> list[Formula]:
+                     kind: str = FS) -> list[Formula]:
     """``count`` random formulas each refuted within ``budget``.
 
-    Draws formulas over the budget's variable bound and keeps the ones
-    the bounded search refutes; deterministic for a fixed seed and
-    budget.
+    Draws up to ``200 * count`` formulas of depth at most 3 over the
+    budget's variable bound and keeps the ones the bounded search
+    refutes; deterministic for a fixed seed and budget.
     """
     rng = random.Random(seed)
-    attempts_left = max_attempts if max_attempts is not None else count * 200
+    attempts_left = count * 200
     out: list[Formula] = []
     while len(out) < count:
         if attempts_left <= 0:
@@ -153,9 +146,7 @@ def refutable_corpus(seed: int, count: int, budget: SearchBudget,
                 f"could not collect {count} refutable formulas; "
                 f"only {len(out)} found")
         attempts_left -= 1
-        phi = random_formula(rng, max_depth=max_depth,
-                             n_vars=budget.var_bound,
-                             allow_bottom=allow_bottom)
+        phi = random_formula(rng, max_depth=3, n_vars=budget.var_bound)
         if find_countermodel(phi, budget, kind).refuted:
             out.append(phi)
     return out

@@ -51,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -65,8 +64,6 @@ from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         pair_space, supersets_asc, transitive_up,
                         validate_model)
 
-TIME_CAP_ENV = "IMRED_TIME_CAP_MS"
-
 # Candidates per pass over the formula DAG; masks are integers of any width.
 _LANES = 256
 
@@ -77,11 +74,9 @@ class SearchBudget:
 
     ``max_worlds``/``max_points`` bound the frame, ``var_bound`` the
     number of enumerated variables.  ``max_candidates`` and
-    ``time_cap_ms`` stop the search early; both are optional, must be
-    positive when given, and a missing time cap falls back to the
-    IMRED_TIME_CAP_MS environment variable at search time, which must
-    be positive too.  Every bound but the time cap is an int (a bool is
-    not).
+    ``time_cap_ms`` stop the search early; both are optional and must
+    be positive when given.  Every bound but the time cap is an int (a
+    bool is not).
     """
 
     max_worlds: int
@@ -99,13 +94,8 @@ class SearchBudget:
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-        _check_cap(self.time_cap_ms)
-
-
-def _check_cap(cap: float | None, name: str = "caps") -> None:
-    """Raise unless ``cap`` is absent or positive (NaN is not)."""
-    if cap is not None and not cap > 0:
-        raise ValueError(f"{name} must be positive when present")
+        if self.time_cap_ms is not None and not self.time_cap_ms > 0:
+            raise ValueError("caps must be positive when present")  # NaN too
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,6 @@ class SearchStats:
     frames_tested: int
     elapsed_ms: float
     stop: str  # "countermodel" | "exhausted" | "candidate-cap" | "time-cap"
-    budget: SearchBudget
 
 
 @dataclass(frozen=True)
@@ -440,15 +429,6 @@ def _search(code: tuple[tuple[str, int, int], ...], phi: Formula,
     evaluated on each pass's own variable masks, so it may be a formula
     other than ``phi`` that has phi's truth masks on them."""
     time_cap = budget.time_cap_ms
-    if time_cap is None:
-        env = os.environ.get(TIME_CAP_ENV)
-        if env:
-            try:
-                time_cap = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"{TIME_CAP_ENV} must be a number, got {env!r}") from None
-            _check_cap(time_cap, TIME_CAP_ENV)
     cap = budget.max_candidates
     with _LOCK:
         started = time.perf_counter()
@@ -486,12 +466,12 @@ def _search(code: tuple[tuple[str, int, int], ...], phi: Formula,
                 countermodel=model, world=w, point=x,
                 stats=SearchStats(models_tested=tested + c + 1,
                                   frames_tested=frames, elapsed_ms=elapsed,
-                                  stop="countermodel", budget=budget))
+                                  stop="countermodel"))
         elapsed = (time.perf_counter() - started) * 1000.0
         return RefutationResult(
             countermodel=None, world=None, point=None,
             stats=SearchStats(models_tested=tested, frames_tested=frames,
-                              elapsed_ms=elapsed, stop=stop, budget=budget))
+                              elapsed_ms=elapsed, stop=stop))
 
 
 def _search_images(phi: Formula, images: tuple[Formula, ...], output: Formula,

@@ -303,20 +303,11 @@ def _require_point(model: FiniteFSModel, w: int, x: int) -> None:
             f"point {x} is not in the point set of world index {w}")
 
 
-def eval_formula(model: FiniteFSModel, w: int, x: int, phi: Formula,
-                 memo: dict | None = None) -> bool:
-    """Truth of ``phi`` at world ``w``, point ``x``, read off its truth mask.
-
-    The root mask comes from :func:`truth_table`; a memo dict passed in
-    keeps it per formula, so further queries on the same model skip the
-    evaluation.
-    """
+def eval_formula(model: FiniteFSModel, w: int, x: int, phi: Formula) -> bool:
+    """Truth of ``phi`` at world ``w``, point ``x``, read off the root
+    mask of :func:`truth_table`."""
     _require_point(model, w, x)
-    mask = None if memo is None else memo.get(phi)
-    if mask is None:
-        mask = truth_table(model, phi)[phi]
-        if memo is not None:
-            memo[phi] = mask
+    mask = truth_table(model, phi)[phi]
     return bool((mask >> (w * model.n_points + x)) & 1)
 
 

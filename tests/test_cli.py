@@ -220,16 +220,24 @@ def test_refute_certificate_and_exhaustion():
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "abc"])
-def test_refute_rejects_time_caps_that_are_not_positive(monkeypatch, capsys,
-                                                         value):
+def test_refute_rejects_time_caps_that_are_not_positive(monkeypatch, value):
     argv = ["refute", "p1 -> p1", "--max-candidates", "1000"]
     assert run(argv + ["--time-cap-ms", value]) == (2, "")
-    capsys.readouterr()
+    # The environment is not read: only the flag caps search time.
+    plain = run(argv)
     monkeypatch.setenv("IMRED_TIME_CAP_MS", value)
-    assert run(argv) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error\tIMRED_TIME_CAP_MS ")
-    assert err.count("\n") == 1
+    assert run(argv) == plain == (
+        0, "exhausted\tmodels_tested=1000\tstop=candidate-cap\t"
+           "max_worlds=3\tmax_points=3\tvars=1\n")
+
+
+def test_refute_time_cap_flag_stops_the_search():
+    # The candidate cap bounds the run should the flag ever fail.
+    code, text = run(["refute", "p1 -> p1", "--max-worlds", "4",
+                      "--max-points", "4", "--vars", "2", "--time-cap-ms", "5",
+                      "--max-candidates", "100000000"])
+    assert code == 0
+    assert "\tstop=time-cap\t" in text
 
 
 def test_refute_output_is_a_parseable_certificate():

@@ -57,9 +57,10 @@ def test_budget_time_cap_may_be_a_float():
 def test_time_caps_must_be_positive(monkeypatch, value):
     with pytest.raises(ValueError, match="caps must be positive"):
         SearchBudget(1, 1, 1, time_cap_ms=float(value))
+    # Only the budget caps search time; the environment is not read.
     monkeypatch.setenv("IMRED_TIME_CAP_MS", value)
-    with pytest.raises(ValueError, match="IMRED_TIME_CAP_MS must be positive"):
-        find_countermodel(parse_formula("p1 -> p1"), SearchBudget(1, 1, 1), FS)
+    result = find_countermodel(parse_formula("p1 -> p1"), SearchBudget(1, 1, 1), FS)
+    assert result.stats.stop == "exhausted"
 
 
 def test_minimal_budget_counts():
@@ -179,14 +180,18 @@ def test_variable_bound_is_enforced():
 
 
 def test_time_cap_environment_variable(monkeypatch):
+    """A search's result depends on its arguments only: IMRED_TIME_CAP_MS
+    set to 1 ms neither cuts a search short nor stands in for a cap."""
     monkeypatch.setenv("IMRED_TIME_CAP_MS", "1")
     result = find_countermodel(parse_formula("p1 -> p1"),
-                               SearchBudget(4, 4, 2), FS)
+                               SearchBudget(3, 3, 2, max_candidates=100_000), FS)
     assert not result.refuted
-    assert result.stats.stop == "time-cap"
-    monkeypatch.setenv("IMRED_TIME_CAP_MS", "")
-    explicit = find_countermodel(parse_formula("p1 -> p1"),
-                                 SearchBudget(4, 4, 2, time_cap_ms=1.0), FS)
+    assert result.stats.stop == "candidate-cap"
+    assert result.stats.models_tested == 100_000
+    # The candidate cap bounds the run should the time cap ever fail.
+    explicit = find_countermodel(
+        parse_formula("p1 -> p1"),
+        SearchBudget(4, 4, 2, max_candidates=10 ** 8, time_cap_ms=1.0), FS)
     assert explicit.stats.stop == "time-cap"
 
 
@@ -203,8 +208,7 @@ def test_mipc_certificates_also_refute_as_fs_models():
 
 def _result(refuted: bool) -> RefutationResult:
     stats = SearchStats(models_tested=1, frames_tested=1, elapsed_ms=0.0,
-                        stop="countermodel" if refuted else "exhausted",
-                        budget=SearchBudget(1, 1, 1))
+                        stop="countermodel" if refuted else "exhausted")
     if refuted:
         model = next(iter(enumerate_models(SearchBudget(1, 1, 1), FS)))
         return RefutationResult(countermodel=model, world=0, point=0,

@@ -129,12 +129,11 @@ def test_true_in_model():
 @given(st.integers(0, 10_000), formulas(max_vars=2))
 def test_heredity(seed, phi):
     model = seeded_model(seed)
-    memo = {}
     for w in model.worlds():
         for v in bits_of(model.up[w]):
             for x in model.points_of(w):
-                if eval_formula(model, w, x, phi, memo):
-                    assert eval_formula(model, v, x, phi, memo)
+                if eval_formula(model, w, x, phi):
+                    assert eval_formula(model, v, x, phi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,10 +141,9 @@ def test_heredity(seed, phi):
 def test_evaluators_agree(seed, phi):
     model = seeded_model(seed)
     tables = truth_table(model, phi)
-    memo = {}
     for w, x in model.pairs():
         expected = bool((tables[phi] >> (w * model.n_points + x)) & 1)
-        assert eval_formula(model, w, x, phi, memo) == expected
+        assert eval_formula(model, w, x, phi) == expected
         assert eval_formula_plain(model, w, x, phi) == expected
 
 
