@@ -2,14 +2,15 @@
 
 Output is plain text, one record per line, tab-separated where a record
 has fields.  Exit codes: 0 for success/true/exhausted, 1 for a refuted
-or failed check, 2 for usage, parse, validation or memory errors.  All
-randomness is seeded and the seed is echoed, so identical invocations
-produce identical bytes.
+or failed check, 2 for usage, parse, validation or memory errors, an
+interrupt (Ctrl-C) or a closed stdout.  All randomness is seeded and the
+seed is echoed, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -384,8 +385,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_ERROR if err.code not in (0, None) else EXIT_OK
+    out = out if out is not None else sys.stdout
     try:
-        return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_ERROR
     except ValueError as err:
@@ -393,6 +397,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_ERROR
     except MemoryError:
         print("error\tout of memory: the result is too large", file=sys.stderr)
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("error\tinterrupted", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so that
+        # the flush at interpreter exit has nowhere left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

@@ -66,8 +66,8 @@ class FiniteFSModel:
     """A finite FS- or MIPC-model over interned world and point ids.
 
     ``up[w]`` is the bitmask of worlds v with w <= v (including w itself);
-    world ids are required to respect the order (w <= v implies w's id is
-    not larger), so ascending id order is a topological order.
+    world ids may run in any order relative to it (a model file's worlds
+    are numbered in declaration order, whatever its ``le`` lines say).
     ``val[p - 1][w]`` is the bitmask of points where variable p holds
     at w; variables above ``nvars`` are false everywhere (the empty
     valuation).  Instances are immutable; build them with
@@ -407,6 +407,12 @@ def _moves(edges: Iterable[tuple[int, int]],
     for s, t in edges:
         d = t - s
         groups[d] = groups.get(d, 0) | 1 << s
+    return _shifts(groups, copies)
+
+
+def _shifts(groups: Mapping[int, int],
+            copies: int = 1) -> list[tuple[int, int, int]]:
+    """The moves of :func:`_moves` from its selectors keyed by offset."""
     return [(d if d > 0 else 0, -d if d < 0 else 0, sel * copies)
             for d, sel in sorted(groups.items())]
 
@@ -478,18 +484,40 @@ class TableContext:
         pmask = (1 << P) - 1
         self.n_worlds = n_worlds
         self.n_points = P
-        self.pairs = pairs = [(w, x) for w in range(n_worlds)
-                              for x in bits_of(delta[w])]
+        self.pairs = pairs = []
         space = 0
+        imp: dict[int, int] = {}
+        dia: dict[int, int] = {}
         for w in range(n_worlds):
-            space |= delta[w] << (w * P)
+            points = delta[w]
+            if not points:
+                continue
+            # -> moves per order pair (w, v): offset (v - w) * P
+            sel = points << w * P
+            space |= sel
+            later = up[w] & ~(1 << w)
+            while later:
+                low = later & -later
+                later ^= low
+                d = (low.bit_length() - 1 - w) * P
+                imp[d] = imp.get(d, 0) | sel
+            # <> moves per relation row (w, x): offset y - x per successor y
+            rel = srel[w]
+            while points:
+                low = points & -points
+                points ^= low
+                x = low.bit_length() - 1
+                pairs.append((w, x))
+                bit = low << w * P
+                row = rel >> x * P & pmask
+                while row:
+                    step = row & -row
+                    row ^= step
+                    d = step.bit_length() - 1 - x
+                    dia[d] = dia.get(d, 0) | bit
         self.space = space
-        later = [[v * P for v in bits_of(up[w]) if v != w]
-                 for w in range(n_worlds)]
-        self.imp = _moves((w * P + x, v + x) for w, x in pairs
-                          for v in later[w])
-        self.dia = _moves((w * P + x, w * P + y) for w, x in pairs
-                          for y in bits_of((srel[w] >> (x * P)) & pmask))
+        self.imp = _shifts(imp)
+        self.dia = _shifts(dia)
 
     @classmethod
     def for_model(cls, model: FiniteFSModel) -> "TableContext":
@@ -541,6 +569,10 @@ def monotone_masks(n_worlds: int, up: tuple[int, ...],
     w's order-predecessors; ascending means lexicographic with world 0
     most significant.  Bounded by point sets it walks the monotone
     valuations of one variable, by pair spaces the monotone relations.
+    World ids must respect the order (w <= v implies w's id is not
+    larger), as in the search's generated frames: otherwise a world's
+    mask is chosen before its predecessors' and may miss them, so
+    ``up=(1, 3)`` yields the non-monotone ``(0, 1)``.
     """
     masks = [0] * n_worlds
 

@@ -256,62 +256,57 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
     """Read a model file in one pass, validate it, and return the model.
 
     ``kind`` overrides any ``kind`` directive in the file; the default is
-    fs.  The line loop builds point sets and per-(variable, world)
-    valuation masks as it reads; relation masks follow once the point
-    count (the number of distinct point ids) is known.  Raises
+    fs.  The line loop builds point sets as it reads and collects
+    relation pairs and valuation triples; their masks follow once the
+    point count (the number of distinct point ids) is known.  Raises
     :class:`ModelSyntaxError` at the first malformed line, checking its
     argument count, then a ``val`` variable token and its cap, then world
     names, then point ids; then :class:`ModelValidationError` naming
     every condition :func:`semantics.validate_model` finds violated.
     """
     lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
     world_ids: dict[str, int] = {}
     point_ids: dict[str, int] = {}
     var_ids: dict[str, int] = {}
     order: list[tuple[int, int]] = []
     delta: list[int] = []
     pairs: list[tuple[int, int, int]] = []
-    vals: dict[tuple[int, int], int] = {}
+    vals: list[tuple[int, int, int]] = []
     file_kind: str | None = None
     refutes = False
-    for line_no, raw in enumerate(lines, 1):
-        if "#" in raw:
-            raw = raw[:raw.find("#")]
-        fields = raw.split()
+    for line_no, fields in enumerate(map(str.split, lines), 1):
         if not fields:
             continue
         directive = fields[0]
         if directive == "s":
             if len(fields) != 4:
                 raise ModelSyntaxError("expected 's <world> <id> <id>'", line_no)
-            _, wtok, xtok, ytok = fields
-            if (w := world_ids.get(wtok)) is None:
-                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
-            if (x := point_ids.get(xtok)) is None:
-                x = _new_point(point_ids, xtok, line_no)
-            if (y := point_ids.get(ytok)) is None:
-                y = _new_point(point_ids, ytok, line_no)
+            if (w := world_ids.get(fields[1])) is None:
+                raise ModelSyntaxError(f"unknown world {fields[1]!r}", line_no)
+            if (x := point_ids.get(fields[2])) is None:
+                x = _new_point(point_ids, fields[2], line_no)
+            if (y := point_ids.get(fields[3])) is None:
+                y = _new_point(point_ids, fields[3], line_no)
             pairs.append((w, x, y))
         elif directive == "val":
             if len(fields) != 4:
                 raise ModelSyntaxError("expected 'val <world> p<k> <point>'", line_no)
-            _, wtok, ptok, xtok = fields
-            if (p := var_ids.get(ptok)) is None:
-                p = var_ids[ptok] = _var_index(ptok, line_no)
-            if (w := world_ids.get(wtok)) is None:
-                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
-            if (x := point_ids.get(xtok)) is None:
-                x = _new_point(point_ids, xtok, line_no)
-            key = (p, w)
-            vals[key] = vals.get(key, 0) | 1 << x
+            if (p := var_ids.get(fields[2])) is None:
+                p = var_ids[fields[2]] = _var_index(fields[2], line_no)
+            if (w := world_ids.get(fields[1])) is None:
+                raise ModelSyntaxError(f"unknown world {fields[1]!r}", line_no)
+            if (x := point_ids.get(fields[3])) is None:
+                x = _new_point(point_ids, fields[3], line_no)
+            vals.append((p, w, x))
         elif directive == "point":
             if len(fields) != 3:
                 raise ModelSyntaxError("expected 'point <world> <id>'", line_no)
-            _, wtok, xtok = fields
-            if (w := world_ids.get(wtok)) is None:
-                raise ModelSyntaxError(f"unknown world {wtok!r}", line_no)
-            if (x := point_ids.get(xtok)) is None:
-                x = _new_point(point_ids, xtok, line_no)
+            if (w := world_ids.get(fields[1])) is None:
+                raise ModelSyntaxError(f"unknown world {fields[1]!r}", line_no)
+            if (x := point_ids.get(fields[2])) is None:
+                x = _new_point(point_ids, fields[2], line_no)
             delta[w] |= 1 << x
         elif directive == "world":
             if len(fields) != 2 or _NAME.match(fields[1]) is None:
@@ -351,12 +346,13 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
     for w, x, y in pairs:
         srel[w] |= 1 << (x * n_points + y)
     nvars = max(var_ids.values(), default=0)
+    val = [[0] * n_worlds for _ in range(nvars)]
+    for p, w, x in vals:
+        val[p - 1][w] |= 1 << x
     model = FiniteFSModel(
         kind=kind, n_worlds=n_worlds, n_points=n_points,
         up=semantics.transitive_up(n_worlds, order), delta=tuple(delta),
-        srel=tuple(srel), nvars=nvars,
-        val=tuple(tuple(vals.get((p, w), 0) for w in range(n_worlds))
-                  for p in range(1, nvars + 1)),
+        srel=tuple(srel), nvars=nvars, val=tuple(map(tuple, val)),
         world_names=tuple(world_ids), point_names=tuple(point_ids) or ("x0",))
     violations = semantics.validate_model(model)
     if violations:

@@ -1,7 +1,14 @@
 import io
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import imred
 from imred import cli, syntax
 from imred.cli import main
 from imred.formula import length
@@ -105,6 +112,34 @@ def test_out_of_memory_exits_2_not_refuted(monkeypatch, capsys):
     assert run(["family", "A", "2", "1"]) == (2, "")
     assert capsys.readouterr().err == \
         "error\tout of memory: the result is too large\n"
+
+
+def start_cli(*argv):
+    """``imred`` in a child process with SIGINT at its default action (a
+    shell that starts a job in the background would have it ignored)."""
+    src = pathlib.Path(imred.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "imred.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+
+
+def test_interrupt_exits_2_with_one_line():
+    proc = start_cli("refute", "p1 -> p1")  # the default budget runs for minutes
+    time.sleep(1.5)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, b"", b"error\tinterrupted\n")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = start_cli("translate", "<>p1 -> []p1")  # about 7 MB of output
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv,name", [

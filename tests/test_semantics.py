@@ -9,11 +9,11 @@ from conftest import formulas, seeded_model
 from imred.corpus import random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            varset)
-from imred.semantics import (FS, MIPC, TableContext, Violation, bits_of,
-                             build_model, eval_formula, eval_formula_plain,
-                             monotone_masks, pair_space, true_in_model,
-                             truth_table, validate_model)
-from imred.search import _frames
+from imred.semantics import (FS, MIPC, TableContext, Violation, _moves,
+                             bits_of, build_model, eval_formula,
+                             eval_formula_plain, monotone_masks, pair_space,
+                             true_in_model, truth_table, validate_model)
+from imred.search import _frames, _materialise, _srel_stream
 
 
 def single_world(srel=(), val=None, kind=FS, points=(0,)):
@@ -254,6 +254,54 @@ def test_truth_table_matches_reference_when_ids_run_against_the_order():
             assert bool((mask >> (w * model.n_points + x)) & 1) == \
                 eval_formula_plain(model, w, x, phi), (seed, w, x)
     assert against > 100 and growing > 50
+
+
+def reference_tables(model):
+    """``TableContext``'s fields built one quantifier edge at a time: an
+    edge from (w, x) to (v, x) for each strict order-successor v of w, and
+    to (w, y) for each relation successor y of x at w."""
+    P = model.n_points
+    pairs = list(model.pairs())
+    space = sum(1 << (w * P + x) for w, x in pairs)
+    imp = _moves((w * P + x, v * P + x) for w, x in pairs
+                 for v in bits_of(model.up[w]) if v != w)
+    dia = _moves((w * P + x, w * P + y) for w, x in pairs
+                 for y in bits_of(model.succ(w, x)))
+    return pairs, space, imp, dia
+
+
+def assert_tables_match(model):
+    ctx = TableContext.for_model(model)
+    assert (ctx.pairs, ctx.space, ctx.imp, ctx.dia) == reference_tables(model)
+
+
+def test_tables_match_per_edge_reference_on_search_frames():
+    rng = random.Random(5)
+    frames = 0
+    for n_worlds in (1, 2, 3):
+        for frame in _frames(n_worlds, 3):
+            frames += 1
+            for kind in (FS, MIPC):
+                relations = list(itertools.islice(_srel_stream(frame, kind), 8))
+                # one random relation inside the pair spaces, one not
+                relations.append(tuple(rng.getrandbits(9) & space
+                                       for space in frame.spaces))
+                relations.append(tuple(rng.getrandbits(frame.n_points ** 2)
+                                       for _ in frame.spaces))
+                for srel in relations:
+                    assert_tables_match(_materialise(frame, srel, (), kind, 0))
+    assert frames == 3 + 42 + 1317
+
+
+def test_tables_match_per_edge_reference_when_ids_run_against_the_order():
+    negative = 0
+    for seed in range(300):
+        for kind in (FS, MIPC):
+            model = reversed_world_ids(seeded_model(seed, max_worlds=4, kind=kind))
+            assert_tables_match(model)
+            negative += any(left for _, left, _ in
+                            TableContext.for_model(model).imp)
+    assert negative > 100
 
 
 def test_declared_order_against_ids_with_growing_relation():

@@ -17,7 +17,7 @@ from imred.syntax import (_MAX_VAL_VAR, _NAME, _VAL_VAR, FormulaSyntaxError,
                           ModelSyntaxError, ModelValidationError, SourceSpan,
                           parse_certificate, parse_formula, parse_model,
                           print_certificate, print_formula, print_model)
-from test_semantics import reference_validate_model
+from test_semantics import assert_tables_match, reference_validate_model
 
 
 def test_parse_examples():
@@ -480,6 +480,20 @@ def test_parse_model_matches_reference_on_edge_files():
         for kind in (None, "fs", "mipc", "bogus"):
             assert outcome(parse_model, text, kind) == \
                 outcome(reference_parse_model, text, kind), (text, kind)
+
+
+def test_tables_match_per_edge_reference_on_model_files():
+    rng = random.Random(2025)
+    parsed = 0
+    for text in printed_models(range(100)):
+        assert_tables_match(parse_model(text))
+        lines = text.splitlines()
+        for _ in range(20):
+            got = outcome(parse_model, mutate(rng, lines), rng.choice([None, "mipc"]))
+            if isinstance(got, semantics.FiniteFSModel):
+                assert_tables_match(got)
+                parsed += 1
+    assert parsed > 300, parsed
 
 
 def test_model_round_trip():
