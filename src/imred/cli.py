@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import corpus, syntax
-from .formula import Formula, Var, length, substitute, varset
+from .formula import Var, length, substitute, varset
 from .reduction import (base_length, family_formula, level_count,
                         reduce_to_one_var, positive_embed, spiral_cell,
                         spiral_index, spiral_walk, stability_level, star)
@@ -46,16 +46,8 @@ def _budget(args: argparse.Namespace, var_bound: int) -> SearchBudget:
                         time_cap_ms=args.time_cap_ms)
 
 
-def _parse_or_die(text: str, out) -> Formula:
-    try:
-        return syntax.parse_formula(text)
-    except syntax.FormulaSyntaxError as err:
-        print(f"error\t{err}", file=out)
-        raise SystemExit(EXIT_ERROR)
-
-
 def cmd_translate(args: argparse.Namespace, out) -> int:
-    phi = _parse_or_die(args.formula, sys.stderr)
+    phi = syntax.parse_formula(args.formula)
 
     def emit(key: str, value) -> None:
         print(f"{key}\t{value}", file=out)
@@ -128,14 +120,9 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     except OSError as err:
         print(f"error\t{err}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        model = syntax.parse_model(text,
-                                   kind=MIPC if args.mipc else
-                                   (FS if args.fs else None))
-    except (syntax.ModelSyntaxError, syntax.ModelValidationError) as err:
-        print(f"error\t{err}", file=sys.stderr)
-        return EXIT_ERROR
-    phi = _parse_or_die(args.formula, sys.stderr)
+    model = syntax.parse_model(text, kind=MIPC if args.mipc else
+                               (FS if args.fs else None))
+    phi = syntax.parse_formula(args.formula)
     ctx = TableContext.for_model(model)
     tables = truth_table(model, phi, ctx)
     mask = tables[phi]
@@ -151,15 +138,11 @@ def cmd_check(args: argparse.Namespace, out) -> int:
 
 
 def cmd_refute(args: argparse.Namespace, out) -> int:
-    phi = _parse_or_die(args.formula, sys.stderr)
+    phi = syntax.parse_formula(args.formula)
     var_bound = args.vars if args.vars is not None else \
         max(varset(phi), default=0)
-    try:
-        budget = _budget(args, var_bound)
-        result = find_countermodel(phi, budget, _kind(args))
-    except ValueError as err:
-        print(f"error\t{err}", file=sys.stderr)
-        return EXIT_ERROR
+    budget = _budget(args, var_bound)
+    result = find_countermodel(phi, budget, _kind(args))
     stats = result.stats
     if result.refuted:
         # pure certificate on stdout: model text plus the refutes trailer
@@ -390,8 +373,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         code = _COMMANDS[args.command](args, out)
         out.flush()  # a closed stdout fails here, not at interpreter exit
         return code
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_ERROR
     except ValueError as err:
         print(f"error\t{err}", file=sys.stderr)
         return EXIT_ERROR

@@ -36,8 +36,7 @@ The consistency probe searches its one-variable output through the
 substitution: it evaluates the positive form on the truth masks of the
 images A_r | B_r, by compositionality the output's masks, and each kept
 pass keeps its images' masks in a dict of its own.  ``clear_caches``
-empties the pass memo with those dicts, the bounded LRU of frames per
-world and point count, and the compile memo.
+empties the pass memo with those dicts and the compile memo.
 
 The search is sound for refutation only.  A returned certificate is
 re-validated and re-evaluated at its (world, point) by the independent
@@ -49,7 +48,6 @@ exhausted result only means no countermodel exists within the budget
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import threading
 import time
@@ -141,43 +139,46 @@ def _posets(n_worlds: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _delta_assignments(n_worlds: int, up: tuple[int, ...],
-                       max_points: int) -> list[tuple[tuple[int, ...], int]]:
-    """All monotone point-set assignments with canonical first-use ids.
+def _delta_assignments(n_worlds: int, up: tuple[int, ...], max_points: int,
+                       total: int) -> list[tuple[tuple[int, ...], int]]:
+    """All monotone point-set assignments of ``total`` points in all with
+    canonical first-use ids.
 
     Returns (delta masks, pool size) pairs.  Every world holds the union
     of its predecessors' points, any subset of previously introduced
     points, and a block of fresh consecutive ids, capped at
-    ``max_points`` points per world and never empty.
+    ``max_points`` points per world and never empty.  A world's choice
+    is kept only while the worlds after it, 1 to ``max_points`` points
+    each, can still bring the count to ``total``.
     """
     out: list[tuple[tuple[int, ...], int]] = []
     masks = [0] * n_worlds
 
-    def go(w: int, used: int) -> None:
+    def go(w: int, used: int, now: int) -> None:
         if w == n_worlds:
             out.append((tuple(masks), used))
             return
+        rest = n_worlds - w - 1
         lower = 0
         for u in range(w):
             if (up[u] >> w) & 1:
                 lower |= masks[u]
         base_count = lower.bit_count()
-        if base_count > max_points:
-            return
         old_free = ((1 << used) - 1) & ~lower
         for extra in supersets_asc(0, old_free):
             count = base_count + extra.bit_count()
-            if count > max_points:
-                continue
             for fresh in range(max_points - count + 1):
+                placed = now + count + fresh
+                if placed + rest > total:
+                    break
                 mask = lower | extra | (((1 << fresh) - 1) << used)
-                if mask == 0:
+                if mask == 0 or total > placed + rest * max_points:
                     continue
                 masks[w] = mask
-                go(w + 1, used + fresh)
+                go(w + 1, used + fresh, placed)
         masks[w] = 0
 
-    go(0, 0)
+    go(0, 0, 0)
     return out
 
 
@@ -185,31 +186,27 @@ def _delta_assignments(n_worlds: int, up: tuple[int, ...],
 class _Frame:
     n_worlds: int
     n_points: int
-    total_points: int
     up: tuple[int, ...]
     delta: tuple[int, ...]
     spaces: tuple[int, ...]  # per-world full pair mask over delta
     pairs: tuple[tuple[int, int], ...]  # legal (world, point) pairs, w-major
 
 
-@functools.lru_cache(maxsize=32)
-def _frames(n_worlds: int, max_points: int) -> tuple[_Frame, ...]:
-    frames = []
-    for up in _posets(n_worlds):
-        for delta, used in _delta_assignments(n_worlds, up, max_points):
-            n_points = max(1, used)
-            frames.append(_Frame(
-                n_worlds=n_worlds, n_points=n_points,
-                total_points=sum(m.bit_count() for m in delta), up=up,
-                delta=delta,
-                spaces=tuple(pair_space(m, n_points) for m in delta),
-                pairs=tuple((w, x) for w in range(n_worlds)
-                            for x in bits_of(delta[w]))))
-    frames.sort(key=lambda f: (f.total_points, f.up, f.delta))
-    return tuple(frames)
-
-
-register_cache_clearer(_frames.cache_clear)
+def _frames(n_worlds: int, max_points: int) -> Iterator[_Frame]:
+    """The frames of ``n_worlds`` worlds and 1 to ``max_points`` points
+    per world, ordered by total point count, then order, then point
+    sets.  Only one (total, order) bucket is held at a time."""
+    posets = _posets(n_worlds)
+    for total in range(n_worlds, n_worlds * max_points + 1):
+        for up in posets:
+            for delta, used in sorted(_delta_assignments(n_worlds, up,
+                                                         max_points, total)):
+                n_points = max(1, used)
+                yield _Frame(
+                    n_worlds=n_worlds, n_points=n_points, up=up, delta=delta,
+                    spaces=tuple(pair_space(m, n_points) for m in delta),
+                    pairs=tuple((w, x) for w in range(n_worlds)
+                                for x in bits_of(delta[w])))
 
 
 def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:

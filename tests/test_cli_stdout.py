@@ -14,6 +14,10 @@ from imred.cli import main
 
 MODEL = ("world u\nworld v\nle u v\npoint u a\npoint v a\npoint v b\n"
          "s u a a\ns v a a\ns v a b\nval u p1 a\nval v p1 a\nval v p2 b\n")
+# model files by the placeholder that names them in PINNED: one that does
+# not parse, and one that parses but breaks point-set monotonicity
+MODELS = {"model": MODEL, "malformed": "world u\npoint u a\nbogus u\n",
+          "invalid": "world u\nworld v\nle u v\npoint u a\npoint v b\n"}
 
 SMALL = ["--max-worlds", "2", "--max-points", "2"]
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
@@ -63,6 +67,15 @@ PINNED = [
     (["family", "--count", "5"], 0, "6fad79c0e0f38d46", EMPTY),
     (["audit", "--spiral", "100", "--growth-cert"], 0, "0a0abaf02da32793",
      EMPTY),
+    # errors: a formula that does not parse, model files that do not parse
+    # or validate, a formula over the variable bound, a bound below 1
+    (["translate", "p1 &"], 2, EMPTY, "3b21d9604af67e87"),
+    (["check", "{model}", "p1 &"], 2, EMPTY, "3b21d9604af67e87"),
+    (["refute", "p1 &"], 2, EMPTY, "3b21d9604af67e87"),
+    (["check", "{malformed}", "p1"], 2, EMPTY, "8ab8a32e2214aacc"),
+    (["check", "{invalid}", "p1"], 2, EMPTY, "2e80e4d71f688242"),
+    (["refute", "--vars", "1", "p1 & p2"], 2, EMPTY, "019ecb8d791528b4"),
+    (["refute", "--max-worlds", "0", "p1"], 2, EMPTY, "7d06137392304bf2"),
 ]
 
 
@@ -71,12 +84,14 @@ def digest(text):
 
 
 def test_cli_output_is_pinned(tmp_path, capsys):
-    model = tmp_path / "pin.model"
-    model.write_text(MODEL, encoding="utf-8")
+    paths = {}
+    for name, text in MODELS.items():
+        paths[name] = tmp_path / f"{name}.model"
+        paths[name].write_text(text, encoding="utf-8")
     got, want = [], []
     for argv, code, stdout, stderr in PINNED:
         out = io.StringIO()
-        exit_code = main([arg.format(model=model) for arg in argv], out)
+        exit_code = main([arg.format(**paths) for arg in argv], out)
         err = capsys.readouterr().err
         got.append((argv, exit_code, digest(out.getvalue()), digest(err)))
         want.append((argv, code, stdout, stderr))

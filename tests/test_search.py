@@ -1,6 +1,10 @@
 import gc
 import itertools
+import os
+import pathlib
 import random
+import resource
+import subprocess
 import sys
 import threading
 import types
@@ -17,8 +21,9 @@ from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
                           check_translation_consistency, enumerate_models,
                           find_countermodel)
-from imred.semantics import (FS, MIPC, _compile, eval_formula_plain,
-                             true_in_model, truth_table, validate_model)
+from imred.semantics import (FS, MIPC, _compile, bits_of, eval_formula_plain,
+                             pair_space, supersets_asc, true_in_model,
+                             truth_table, validate_model)
 from imred.syntax import parse_formula, print_formula
 
 
@@ -106,6 +111,81 @@ def test_growing_worlds_or_points_extends_the_stream():
                    enumerate_models(SearchBudget(2, 1, 1), FS)]
     assert more_points[:len(small)] == small
     assert more_worlds[:len(small)] == small
+
+
+def list_frames(n_worlds, max_points):
+    """The frame list that ``search._frames`` once built and sorted whole,
+    kept as the reference for the streamed walk."""
+    frames = []
+    for up in search._posets(n_worlds):
+        masks = [0] * n_worlds
+
+        def go(w, used):
+            if w == n_worlds:
+                frames.append((sum(m.bit_count() for m in masks), up,
+                               tuple(masks), max(1, used)))
+                return
+            lower = 0
+            for u in range(w):
+                if (up[u] >> w) & 1:
+                    lower |= masks[u]
+            base_count = lower.bit_count()
+            if base_count > max_points:
+                return
+            for extra in supersets_asc(0, ((1 << used) - 1) & ~lower):
+                count = base_count + extra.bit_count()
+                if count > max_points:
+                    continue
+                for fresh in range(max_points - count + 1):
+                    mask = lower | extra | (((1 << fresh) - 1) << used)
+                    if mask:
+                        masks[w] = mask
+                        go(w + 1, used + fresh)
+            masks[w] = 0
+
+        go(0, 0)
+    frames.sort(key=lambda frame: frame[:3])
+    return tuple(search._Frame(
+        n_worlds=n_worlds, n_points=n_points, up=up, delta=delta,
+        spaces=tuple(pair_space(m, n_points) for m in delta),
+        pairs=tuple((w, x) for w in range(n_worlds) for x in bits_of(delta[w])))
+        for _, up, delta, n_points in frames)
+
+
+# Up to 6 worlds: _posets(7) alone closes 2^21 edge sets.
+@pytest.mark.parametrize("n_worlds,max_points", [
+    (n, p) for n in range(1, 7) for p in range(1, 10) if n * p <= 9] + [(3, 4)])
+def test_streamed_frames_equal_the_sorted_list(n_worlds, max_points):
+    stream = search._frames(n_worlds, max_points)
+    assert isinstance(stream, Iterator)
+    assert tuple(stream) == list_frames(n_worlds, max_points)
+
+
+def capped_child(*argv):
+    """Python run with ``argv`` in a child process whose address space is
+    capped at 512 MB; the cap acts on the child only."""
+    src = pathlib.Path(search.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    cap = 512 << 20
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def test_first_frames_of_a_large_world_count_arrive_in_little_memory():
+    # (5, 3) holds 6,349,082 frames; the whole list does not fit the cap
+    proc = capped_child("-c", "import itertools\n"
+                        "from imred.search import _frames\n"
+                        "print(sum(1 for _ in itertools.islice(_frames(5, 3), 10_000)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "10000\n", "")
+
+
+def test_a_large_point_bound_refutes_at_its_first_candidate():
+    proc = capped_child("-m", "imred.cli", "refute", "--max-worlds", "1",
+                        "--max-points", "3000", "--max-candidates", "10", "p1")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "kind fs\nworld w0\npoint w0 x0\nrefutes w0 x0\n"
 
 
 def test_theorem_exhausts():
@@ -570,11 +650,9 @@ def test_clear_caches_empties_frame_tables_and_compile_memo():
     truth_table(model, phi)
     assert search._PASSES
     assert _compile.cache_info().currsize > 0
-    assert search._frames.cache_info().currsize > 0
     clear_caches()
     assert not search._PASSES
     assert _compile.cache_info().currsize == 0
-    assert search._frames.cache_info().currsize == 0
 
 
 def test_compile_memo_shares_immutable_code():
@@ -660,8 +738,8 @@ def test_frames_are_counted_once_across_the_kept_boundary():
     phi = parse_formula("p1 -> p1")
     budget = SearchBudget(3, 3, 2, max_candidates=3 * search._KEEP)
     cold = reported(cold_search(phi, budget, FS))
-    # the passes past the kept ones then hold new, equal frame objects
-    search._frames.cache_clear()
+    # each fresh stream builds its own frames, so the passes past the kept
+    # ones hold new frame objects equal to the kept ones
     assert reported(find_countermodel(phi, budget, FS)) == cold
 
 
