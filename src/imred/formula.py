@@ -8,8 +8,10 @@ themselves, which hash and compare by identity; every map over nodes is
 keyed by the node.  Per-node metrics (symbol length, modal depth,
 expanded tree size, variable set, positivity) are computed once at
 construction and stay O(1) to read even when the fully expanded tree
-would be far too large to materialise.  Nodes form no cycles, so the DAG
-builders (``_gc_paused``) pause the cyclic garbage collector; a
+would be far too large to materialise.  Equal variable sets are one
+shared frozenset, kept in a table that ``clear_caches`` empties, so a
+node costs its slots, not a set of its own.  Nodes form no cycles, so
+the DAG builders (``_gc_paused``) pause the cyclic garbage collector; a
 ``gc.disable()`` by other code during a build is undone when it ends.
 
 Variable indices start at 1.  The symbol-length measure charges 1 for
@@ -69,6 +71,7 @@ class Formula:
 
 
 _table: dict[tuple, Formula] = {}
+_var_sets: dict[frozenset[int], frozenset[int]] = {}
 _cache_clearers: list = []
 
 
@@ -133,7 +136,8 @@ def _binary(kind: str, left: Formula, right: Formula) -> Formula:
     elif lv <= rv:
         n.vars = rv
     else:
-        n.vars = lv | rv
+        union = lv | rv
+        n.vars = _var_sets.setdefault(union, union)
     n.positive = left.positive and right.positive
     return _table.setdefault(key, n)
 
@@ -354,6 +358,7 @@ def clear_caches() -> None:
     across generations.
     """
     _table.clear()
+    _var_sets.clear()
     _table[(BOT, 0)] = BOTTOM
     for fn in _cache_clearers:
         fn()

@@ -59,8 +59,7 @@ from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         reduce_to_one_var)
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
                         _moves, bits_of, eval_formula_plain, monotone_masks,
-                        pair_space, supersets_asc, transitive_up,
-                        validate_model)
+                        pair_space, supersets_asc, validate_model)
 
 # Candidates per pass over the formula DAG; masks are integers of any width.
 _LANES = 256
@@ -127,16 +126,29 @@ class RefutationResult:
 def _posets(n_worlds: int) -> list[tuple[int, ...]]:
     """All partial orders on 0..n-1 whose ids respect the order, as up-masks.
 
-    Edges only point from smaller to larger ids, so every poset shows up
-    in at least one such labelling and antisymmetry holds by
-    construction.  Distinct edge sets with the same closure are merged.
+    Built world by world: the orders on k + 1 worlds are the orders on k
+    worlds with a top world k added above a down-closed set of the old
+    worlds.  A set s is down-closed when ``cover[s] == s``, the union of
+    the down-masks of its worlds, so each of the 2^k sets is one lookup.
+    Every poset shows up in at least one such labelling, and antisymmetry
+    and transitivity hold by construction.
     """
-    slots = [(u, v) for u in range(n_worlds) for v in range(u + 1, n_worlds)]
-    seen: set[tuple[int, ...]] = set()
-    for choice in range(1 << len(slots)):
-        seen.add(transitive_up(n_worlds, (slot for bit, slot in enumerate(slots)
-                                          if (choice >> bit) & 1)))
-    return sorted(seen)
+    orders: list[tuple[int, ...]] = [()]
+    for k in range(n_worlds):
+        top = 1 << k
+        grown = []
+        for up in orders:
+            down = [sum(1 << v for v in range(k) if (up[v] >> u) & 1)
+                    for u in range(k)]
+            cover = [0] * top
+            for below in range(1, top):
+                low = below & -below
+                cover[below] = cover[below ^ low] | down[low.bit_length() - 1]
+            grown.extend(tuple(m | top if (below >> w) & 1 else m
+                               for w, m in enumerate(up)) + (top,)
+                         for below in range(top) if cover[below] == below)
+        orders = grown
+    return sorted(orders)
 
 
 def _delta_assignments(n_worlds: int, up: tuple[int, ...], max_points: int,

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from conftest import formulas
 import imred
+from imred import formula
 from imred.corpus import formula_with_length, random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var, _rebuild,
                            box_chain_le, clear_caches, diamond_chain_le,
@@ -226,6 +227,24 @@ def test_node_metadata_matches_reference_on_corpus_and_outputs():
             for node in subformulas(root):
                 assert (node.length, node.mdepth, node.tree_size, node.vars,
                         node.positive) == ref[id(node)]
+
+
+def test_equal_variable_sets_are_one_shared_frozenset():
+    clear_caches()
+    assert formula._var_sets == {}
+    rng = random.Random(23)
+    inputs = [random_formula(rng, max_depth=6, n_vars=8) for _ in range(25)]
+    inputs += [formula_with_length(rng, target) for target in (120, 400, 1200)]
+    nodes = set()
+    for phi in inputs:
+        report = reduce_to_one_var(phi)
+        for root in (phi, report.embedding.positive_form, report.output):
+            nodes.update(subformulas(root))
+    assert max(len(n.vars) for n in nodes) >= 6
+    assert len({id(n.vars) for n in nodes}) == len({n.vars for n in nodes})
+    assert all(type(n.vars) is frozenset for n in nodes)
+    clear_caches()
+    assert formula._var_sets == {}
 
 
 def test_print_parse_round_trip_is_identity_in_a_fresh_generation():

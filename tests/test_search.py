@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 import types
 from collections.abc import Iterator
 
@@ -22,8 +23,8 @@ from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           check_translation_consistency, enumerate_models,
                           find_countermodel)
 from imred.semantics import (FS, MIPC, _compile, bits_of, eval_formula_plain,
-                             pair_space, supersets_asc, true_in_model,
-                             truth_table, validate_model)
+                             pair_space, supersets_asc, transitive_up,
+                             true_in_model, truth_table, validate_model)
 from imred.syntax import parse_formula, print_formula
 
 
@@ -113,6 +114,27 @@ def test_growing_worlds_or_points_extends_the_stream():
     assert more_worlds[:len(small)] == small
 
 
+def closed_posets(n_worlds):
+    """The orders ``search._posets`` once built by closing every edge set
+    from smaller to larger ids, kept as the reference for the extension."""
+    slots = [(u, v) for u in range(n_worlds) for v in range(u + 1, n_worlds)]
+    return sorted({transitive_up(n_worlds, (slot for bit, slot in enumerate(slots)
+                                            if (choice >> bit) & 1))
+                   for choice in range(1 << len(slots))})
+
+
+@pytest.mark.parametrize("n_worlds", range(7))
+def test_orders_by_extension_equal_the_closed_edge_sets(n_worlds):
+    assert search._posets(n_worlds) == closed_posets(n_worlds)
+
+
+def test_orders_on_seven_worlds_are_counted_quickly():
+    started = time.perf_counter()
+    orders = search._posets(7)
+    assert time.perf_counter() - started < 5
+    assert len(orders) == 96428  # OEIS A006455
+
+
 def list_frames(n_worlds, max_points):
     """The frame list that ``search._frames`` once built and sorted whole,
     kept as the reference for the streamed walk."""
@@ -152,7 +174,7 @@ def list_frames(n_worlds, max_points):
         for _, up, delta, n_points in frames)
 
 
-# Up to 6 worlds: _posets(7) alone closes 2^21 edge sets.
+# Up to 6 worlds: 7 worlds hold 96,428 orders.
 @pytest.mark.parametrize("n_worlds,max_points", [
     (n, p) for n in range(1, 7) for p in range(1, 10) if n * p <= 9] + [(3, 4)])
 def test_streamed_frames_equal_the_sorted_list(n_worlds, max_points):
