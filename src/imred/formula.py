@@ -2,13 +2,16 @@
 
 Nodes are hash-consed: every constructor interns the node it returns, so
 structurally equal terms are the same Python object and repeated subterms
-share storage.  Each arity has its own interning constructor, keyed
-(kind, var), (kind, child) or (kind, left, right) by the child nodes
-themselves, which hash and compare by identity; every map over nodes is
-keyed by the node.  Per-node metrics (symbol length, modal depth,
-expanded tree size, variable set, positivity) are computed once at
-construction and stay O(1) to read even when the fully expanded tree
-would be far too large to materialise.  Equal variable sets are one
+share storage.  Each arity has its own interning constructor and each
+kind its own table, and no key is an object of its own that the cyclic
+collector tracks (see ``_tables``); every other map over nodes is keyed
+by the node, which hashes and compares by identity.  A node pickles as
+the flat children-first code of its DAG and unpickles re-interned, so a
+round trip within one generation gives the same object.  Per-node
+metrics (symbol length, modal depth, expanded tree size, variable set,
+positivity) are computed once at construction and stay O(1) to read
+even when the fully expanded tree would be far too large to
+materialise.  Equal variable sets are one
 shared frozenset, kept in a table that ``clear_caches`` empties, so a
 node costs its slots, not a set of its own.  Nodes form no cycles, so
 the DAG builders (``_gc_paused``) pause the cyclic garbage collector; a
@@ -69,15 +72,24 @@ class Formula:
     def __deepcopy__(self, memo: object) -> "Formula":
         return self
 
+    def __reduce__(self):
+        return _from_code, (_code(self)[1],)
 
-_table: dict[tuple, Formula] = {}
+
+# One intern table per kind.  A leaf is keyed by its variable index, a
+# unary node by its child node and a binary node by the int
+# id(left) << 64 | id(right), so no key is an object of its own that the
+# cyclic collector tracks.  The packing is injective because ids are below
+# 2**64, and sound because the node stored under a key holds both
+# children, so neither id can be reused while the key is in the table.
+_tables: dict[str, dict] = {kind: {} for kind in (VAR, BOT, AND, OR, IMP, DIA, BOX)}
 _var_sets: dict[frozenset[int], frozenset[int]] = {}
 _cache_clearers: list = []
 
 
 def _leaf(kind: str, var: int) -> Formula:
-    key = (kind, var)
-    hit = _table.get(key)
+    table = _tables[kind]
+    hit = table.get(var)
     if hit is not None:
         return hit
     n = object.__new__(Formula)
@@ -95,12 +107,12 @@ def _leaf(kind: str, var: int) -> Formula:
         n.vars = frozenset()
         n.positive = False
     # setdefault keeps identity deterministic if two threads race here
-    return _table.setdefault(key, n)
+    return table.setdefault(var, n)
 
 
 def _unary(kind: str, child: Formula) -> Formula:
-    key = (kind, child)
-    hit = _table.get(key)
+    table = _tables[kind]
+    hit = table.get(child)
     if hit is not None:
         return hit
     n = object.__new__(Formula)
@@ -113,12 +125,13 @@ def _unary(kind: str, child: Formula) -> Formula:
     n.tree_size = 1 + child.tree_size
     n.vars = child.vars
     n.positive = child.positive
-    return _table.setdefault(key, n)
+    return table.setdefault(child, n)
 
 
 def _binary(kind: str, left: Formula, right: Formula) -> Formula:
-    key = (kind, left, right)
-    hit = _table.get(key)
+    table = _tables[kind]
+    key = id(left) << 64 | id(right)
+    hit = table.get(key)
     if hit is not None:
         return hit
     n = object.__new__(Formula)
@@ -139,7 +152,7 @@ def _binary(kind: str, left: Formula, right: Formula) -> Formula:
         union = lv | rv
         n.vars = _var_sets.setdefault(union, union)
     n.positive = left.positive and right.positive
-    return _table.setdefault(key, n)
+    return table.setdefault(key, n)
 
 
 def _check(phi: object) -> Formula:
@@ -225,6 +238,18 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     return iter(out)
 
 
+def _code(phi: Formula) -> tuple[tuple[Formula, ...],
+                                 tuple[tuple[str, int, int], ...]]:
+    """The distinct subterms of ``phi``, children-first with the root
+    last, and one instruction (kind, left position or variable index,
+    right position) per subterm."""
+    nodes = tuple(subformulas(phi))
+    position = {node: k for k, node in enumerate(nodes)}
+    return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
+                        (node.kind, position.get(node.left, 0),
+                         position.get(node.right, 0)) for node in nodes)
+
+
 def _gc_paused(fn):
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -276,6 +301,24 @@ def _rebuild(phi: Formula, leaf_image) -> Formula:
     return memo[phi]
 
 
+@_gc_paused
+def _from_code(code: tuple[tuple[str, int, int], ...]) -> Formula:
+    """The root of ``code`` (as built by :func:`_code`), interned in the
+    current generation; unpickling calls it."""
+    nodes: list[Formula] = []
+    for kind, a, b in code:
+        if kind == VAR:
+            node = Var(a)
+        elif kind == BOT:
+            node = BOTTOM
+        elif kind == DIA or kind == BOX:
+            node = _unary(kind, nodes[a])
+        else:
+            node = _binary(kind, nodes[a], nodes[b])
+        nodes.append(node)
+    return nodes[-1]
+
+
 def substitute(phi: Formula, bindings: Mapping[int, Formula]) -> Formula:
     """Simultaneous substitution of formulas for variables.
 
@@ -287,7 +330,7 @@ def substitute(phi: Formula, bindings: Mapping[int, Formula]) -> Formula:
     if not bindings:
         return phi
     for index, image in bindings.items():
-        if not isinstance(index, int) or index < 1:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError(f"bad binding key {index!r}: variable indices are integers >= 1")
         _check(image)
     # false has var 0, which no binding key equals
@@ -312,7 +355,7 @@ def box_chain_le(m: int, psi: Formula) -> Formula:
 
 
 def _chain(m: int, psi: Formula, modal: str, join: str) -> Formula:
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"chain bound must be a natural number, got {m!r}")
     _check(psi)
     tower = [psi]
@@ -357,8 +400,9 @@ def clear_caches() -> None:
     between nodes of one generation; use :func:`structurally_equal`
     across generations.
     """
-    _table.clear()
+    for table in _tables.values():
+        table.clear()
     _var_sets.clear()
-    _table[(BOT, 0)] = BOTTOM
+    _tables[BOT][0] = BOTTOM
     for fn in _cache_clearers:
         fn()

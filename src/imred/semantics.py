@@ -34,8 +34,8 @@ import functools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
-from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula,
-                      register_cache_clearer, subformulas, varset)
+from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, _code,
+                      register_cache_clearer, varset)
 
 FS = "fs"
 MIPC = "mipc"
@@ -370,22 +370,12 @@ def _clause(m: FiniteFSModel, phi: Formula, w: int,
     return True
 
 
-@functools.lru_cache(maxsize=256)
-def _compile(phi: Formula) -> tuple[tuple[Formula, ...],
-                                    tuple[tuple[str, int, int], ...]]:
-    """The distinct subterms of ``phi``, children-first with the root
-    last, and one instruction (kind, left position or variable index,
-    right position) per subterm.
-
-    Memoized per formula node in a least-recently-used cache of 256
-    entries, emptied by :func:`imred.formula.clear_caches`; the results
-    are tuples, since every caller of a formula shares them.
-    """
-    nodes = tuple(subformulas(phi))
-    position = {node: k for k, node in enumerate(nodes)}
-    return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
-                        (node.kind, position.get(node.left, 0),
-                         position.get(node.right, 0)) for node in nodes)
+# The distinct subterms of a formula and one instruction per subterm
+# (:func:`imred.formula._code`), memoized per formula node in a
+# least-recently-used cache of 256 entries, emptied by
+# :func:`imred.formula.clear_caches`; the results are tuples, since every
+# caller of a formula shares them.
+_compile = functools.lru_cache(maxsize=256)(_code)
 
 
 register_cache_clearer(_compile.cache_clear)

@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -30,6 +31,11 @@ def test_interning_makes_equality_structural():
     assert Implies(Var(1), Var(1)) is Implies(Var(1), Var(1))
     assert And(P1, P2) is not And(P2, P1)
     assert Diamond(P1) is not Box(P1)
+    # the binary kinds share their children but not their tables
+    a, b = Diamond(P1), Box(P2)
+    nodes = [And(a, b), Or(a, b), Implies(a, b)]
+    assert [node.kind for node in nodes] == ["and", "or", "imp"]
+    assert all(x is y for x, y in zip(nodes, [And(a, b), Or(a, b), Implies(a, b)]))
 
 
 def test_var_validation():
@@ -39,6 +45,84 @@ def test_var_validation():
         Var(-3)
     with pytest.raises(TypeError):
         And(P1, "p2")
+
+
+def test_bool_indices_are_rejected_as_by_var():
+    with pytest.raises(ValueError):
+        Var(True)
+    with pytest.raises(ValueError, match="bad binding key True"):
+        substitute(P1, {True: P3})
+    with pytest.raises(ValueError, match="got True"):
+        diamond_chain_le(True, P1)
+    with pytest.raises(ValueError, match="got False"):
+        box_chain_le(False, P1)
+
+
+def test_intern_keys_are_no_objects_the_collector_tracks():
+    # the bench's translate ops, on smaller inputs
+    rng = random.Random(7)
+    texts = [print_formula(formula_with_length(rng, n))
+             for n in (10, 30, 100, 300, 1000, 3000)]
+    clear_caches()
+    for text in texts:
+        star(positive_embed(parse_formula(text)).positive_form)
+    tables = formula._tables
+    nodes = {id(node) for table in tables.values() for node in table.values()}
+    keys = [key for table in tables.values() for key in table]
+    tracked = [key for key in keys if gc.is_tracked(key)]
+    # Only unary nodes have tracked keys: their children, which are nodes.
+    assert len(tracked) == len(tables["dia"]) + len(tables["box"]) > 0
+    assert all(id(key) in nodes for key in tracked)
+    assert len(keys) == len(nodes) > 1000
+
+
+def test_tables_hold_exactly_the_nodes_built():
+    rng = random.Random(27)
+    texts = [print_formula(random_formula(rng, max_depth=6, n_vars=4)) for _ in range(30)]
+    clear_caches()
+    roots = [parse_formula(text) for text in texts]
+    image = Box(Var(2))
+    roots += [substitute(root, {1: image}) for root in roots]
+    roots += [image, diamond_chain_le(3, Var(4)), BOTTOM]
+    reached = set()
+    for root in roots:
+        reached.update(subformulas(root))
+    assert sum(len(table) for table in formula._tables.values()) == len(reached)
+
+
+def test_nodes_of_an_old_generation_stay_usable_as_children():
+    old = And(Var(1), Diamond(Var(2)))
+    clear_caches()
+    built = [Diamond(old), Or(old, Var(3)), Implies(Var(3), old), And(old, old)]
+    again = [Diamond(old), Or(old, Var(3)), Implies(Var(3), old), And(old, old)]
+    assert all(x is y for x, y in zip(built, again))
+    fresh = And(Var(1), Diamond(Var(2)))
+    assert fresh is not old and structurally_equal(fresh, old)
+    assert Diamond(fresh) is not built[0]
+
+
+def test_pickling_keeps_interning():
+    rng = random.Random(28)
+    corpus = [BOTTOM, Var(1), Implies(Diamond(BOTTOM), Box(Var(2)))]
+    for _ in range(20):
+        phi = random_formula(rng, max_depth=5, n_vars=3)
+        corpus += [phi, reduce_to_one_var(phi).output]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(corpus, protocol))
+        assert all(x is y for x, y in zip(loaded, corpus))
+    data = pickle.dumps(corpus)
+    clear_caches()
+    loaded = pickle.loads(data)
+    assert all((x is y) == (y is BOTTOM) and structurally_equal(x, y)
+               for x, y in zip(loaded, corpus))
+    assert all(pickle.loads(pickle.dumps(x)) is x for x in loaded)
+
+
+def test_a_deep_chain_pickles_and_loads():
+    phi = Var(1)
+    for _ in range(100_000):
+        phi = Diamond(phi)
+    assert pickle.loads(pickle.dumps(phi)) is phi
 
 
 def test_mdepth_examples():
