@@ -135,9 +135,11 @@ def transitive_up(n_worlds: int, order: Iterable[tuple[int, int]]) -> tuple[int,
 
 def pair_space(delta_mask: int, n_points: int) -> int:
     """Bitmask of all pairs (x, y) with x and y in ``delta_mask``."""
-    out = 0
-    for x in bits_of(delta_mask):
-        out |= delta_mask << (x * n_points)
+    out, rest = 0, delta_mask
+    while rest:
+        low = rest & -rest
+        out |= delta_mask << (low.bit_length() - 1) * n_points
+        rest ^= low
     return out
 
 
@@ -211,6 +213,26 @@ class Violation:
         return f"{self.condition}: {self.witness}"
 
 
+# The conditions of validate_model in their reported order, each with
+# its witness text: {w} and {v} name worlds, {p} is a variable index,
+# and {points} or {pairs} name the failing mask's points or pairs.
+_CONDITIONS = (
+    ("order reflexivity", "world {w}"),
+    ("order transitivity", "{w} <= {v} but successors of {v} escape"),
+    ("order antisymmetry", "worlds {w} and {v}"),
+    ("point-set non-empty", "world {w}"),
+    ("point-set monotonicity", "{w} <= {v} but {points} missing at {v}"),
+    ("relation domain", "world {w} relates {pairs} outside its points"),
+    ("relation monotonicity", "{w} <= {v} but {pairs} missing at {v}"),
+    ("valuation domain", "V({w}, p{p}) contains {points} outside the point set"),
+    ("valuation monotonicity", "{w} <= {v} but {points} leaves V(., p{p})"),
+    ("MIPC totality", "world {w} misses {pairs}"),
+)
+(_REFLEXIVE, _TRANSITIVE, _ANTISYMMETRIC, _NON_EMPTY, _POINTS_GROW,
+ _RELATION_INSIDE, _RELATION_GROWS, _VALUATION_INSIDE, _VALUATION_GROWS,
+ _TOTAL) = range(len(_CONDITIONS))
+
+
 def validate_model(model: FiniteFSModel) -> list[Violation]:
     """Check every frame and valuation condition; empty list means valid.
 
@@ -219,79 +241,74 @@ def validate_model(model: FiniteFSModel) -> list[Violation]:
     order reflexivity, transitivity and antisymmetry; non-empty, monotone
     point sets; relations inside and monotone over the point sets;
     valuations inside and monotone over the point sets; and totality of
-    the relations for MIPC models.  Each world's up-set and pair space
-    are computed once, and witness text is built only for a failed
-    condition, so a valid model costs a few integer operations per
-    (world, successor) pair and condition.
+    the relations for MIPC models.  Within a condition, violations run
+    world-major with successors ascending; the valuation conditions run
+    variable-major.  One pass over the worlds tests each condition once:
+    a world's own conditions, then those of each pair (w, v) with v a
+    strict order-successor of w, since the pair (w, w) fails none.  A
+    failure records only a key, so a valid model costs a few integer
+    operations per world, per such pair and per variable, and witness
+    text is built from the keys after the pass.
     """
-    out: list[Violation] = []
     n_points, up, delta, srel = model.n_points, model.up, model.delta, model.srel
-    wn, pn = model.world_names, model.point_names
-    worlds = range(model.n_worlds)
-    ups = [list(bits_of(up[w])) for w in worlds]
-    spaces = [pair_space(delta[w], n_points) for w in worlds]
+    rows = tuple(enumerate(model.val[:model.nvars], 1))  # (p, V(., p))
+    mipc = model.kind == MIPC
+    keys = []
+    for w, (up_w, delta_w, srel_w) in enumerate(zip(up, delta, srel)):
+        if not up_w >> w & 1:
+            keys.append((_REFLEXIVE, 0, w, 0, 0))
+        if not delta_w:
+            keys.append((_NON_EMPTY, 0, w, 0, 0))
+        space = pair_space(delta_w, n_points)
+        if srel_w & ~space:
+            keys.append((_RELATION_INSIDE, 0, w, 0, srel_w & ~space))
+        if mipc and srel_w != space:
+            keys.append((_TOTAL, 0, w, 0, space & ~srel_w))
+        for p, row in rows:
+            if row[w] & ~delta_w:
+                keys.append((_VALUATION_INSIDE, p, w, 0, row[w] & ~delta_w))
+        strict = up_w & ~(1 << w)
+        while strict:
+            low = strict & -strict
+            strict ^= low
+            v = low.bit_length() - 1
+            if up[v] & ~up_w:
+                keys.append((_TRANSITIVE, 0, w, v, 0))
+            if v > w and up[v] >> w & 1:
+                keys.append((_ANTISYMMETRIC, 0, w, v, 0))
+            if delta_w & ~delta[v]:
+                keys.append((_POINTS_GROW, 0, w, v, delta_w & ~delta[v]))
+            if srel_w & ~srel[v]:
+                keys.append((_RELATION_GROWS, 0, w, v, srel_w & ~srel[v]))
+            for p, row in rows:
+                if row[w] & ~row[v]:
+                    keys.append((_VALUATION_GROWS, p, w, v, row[w] & ~row[v]))
+    return _violations(model, keys) if keys else []
 
-    def points(mask: int) -> str:
-        return ", ".join(pn[x] for x in bits_of(mask))
+
+def _violations(model: FiniteFSModel,
+                keys: list[tuple[int, int, int, int, int]]) -> list[Violation]:
+    """The violations of :func:`validate_model`'s failure keys
+    (condition, variable, world, successor, failing mask), in reported
+    order."""
+    wn, pn, n_points = model.world_names, model.point_names, model.n_points
 
     def pair_names(mask: int) -> str:
-        pairs = [(x, y) for x in range(n_points) for y in range(n_points)
-                 if (mask >> (x * n_points + y)) & 1]
-        return ", ".join(f"({pn[x]},{pn[y]})" for x, y in pairs) or "nothing"
+        # pair (x, y) is bit x * P + y, so the set bits ascend as the pairs do
+        return ", ".join(f"({pn[x]},{pn[y]})" for x, y in
+                         (divmod(bit, n_points) for bit in bits_of(mask))
+                         if x < n_points) or "nothing"
 
-    for w in worlds:
-        if not (up[w] >> w) & 1:
-            out.append(Violation("order reflexivity", f"world {wn[w]}"))
-    for w in worlds:
-        for v in ups[w]:
-            if up[v] & ~up[w]:
-                out.append(Violation(
-                    "order transitivity",
-                    f"{wn[w]} <= {wn[v]} but successors of {wn[v]} escape"))
-    for w in worlds:
-        for v in ups[w]:
-            if v > w and (up[v] >> w) & 1:
-                out.append(Violation(
-                    "order antisymmetry", f"worlds {wn[w]} and {wn[v]}"))
-    for w in worlds:
-        if delta[w] == 0:
-            out.append(Violation("point-set non-empty", f"world {wn[w]}"))
-    for w in worlds:
-        for v in ups[w]:
-            if missing := delta[w] & ~delta[v]:
-                out.append(Violation(
-                    "point-set monotonicity",
-                    f"{wn[w]} <= {wn[v]} but {points(missing)} missing at {wn[v]}"))
-    for w in worlds:
-        if stray := srel[w] & ~spaces[w]:
-            out.append(Violation(
-                "relation domain",
-                f"world {wn[w]} relates {pair_names(stray)} outside its points"))
-    for w in worlds:
-        for v in ups[w]:
-            if lost := srel[w] & ~srel[v]:
-                out.append(Violation(
-                    "relation monotonicity",
-                    f"{wn[w]} <= {wn[v]} but {pair_names(lost)} missing at {wn[v]}"))
-    for p, row in enumerate(model.val[:model.nvars], 1):
-        for w in worlds:
-            if stray := row[w] & ~delta[w]:
-                out.append(Violation(
-                    "valuation domain",
-                    f"V({wn[w]}, p{p}) contains {points(stray)} outside the point set"))
-    for p, row in enumerate(model.val[:model.nvars], 1):
-        for w in worlds:
-            for v in ups[w]:
-                if lost := row[w] & ~row[v]:
-                    out.append(Violation(
-                        "valuation monotonicity",
-                        f"{wn[w]} <= {wn[v]} but {points(lost)} leaves V(., p{p})"))
-    if model.kind == MIPC:
-        for w in worlds:
-            if srel[w] != spaces[w]:
-                out.append(Violation(
-                    "MIPC totality",
-                    f"world {wn[w]} misses {pair_names(spaces[w] & ~srel[w])}"))
+    out = []
+    for rank, p, w, v, mask in sorted(keys):
+        condition, template = _CONDITIONS[rank]
+        names = {}
+        if "{points}" in template:
+            names["points"] = ", ".join(pn[x] for x in bits_of(mask))
+        elif "{pairs}" in template:
+            names["pairs"] = pair_names(mask)
+        out.append(Violation(condition, template.format(
+            w=wn[w], v=wn[v], p=p, **names)))
     return out
 
 

@@ -22,9 +22,10 @@ from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
                           check_translation_consistency, enumerate_models,
                           find_countermodel)
-from imred.semantics import (FS, MIPC, _compile, bits_of, eval_formula_plain,
-                             pair_space, supersets_asc, transitive_up,
-                             true_in_model, truth_table, validate_model)
+from imred.semantics import (FS, MIPC, _compile, bits_of, build_model,
+                             eval_formula_plain, pair_space, supersets_asc,
+                             transitive_up, true_in_model, truth_table,
+                             validate_model)
 from imred.syntax import parse_formula, print_formula
 
 
@@ -965,6 +966,20 @@ def test_image_search_rechecks_against_the_output(monkeypatch):
     assert rechecked == [output]
     assert not eval_formula_plain(result.countermodel, result.world,
                                   result.point, output)
+
+
+def test_recheck_rejects_invalid_models_and_true_certificates():
+    # p1 holds at (u, x) but not at (v, x) although u <= v
+    shrinking = build_model(n_worlds=2, order=[(0, 1)],
+                            points={0: {0}, 1: {0}}, val={1: {0: {0}}})
+    with pytest.raises(RuntimeError, match="invalid model: "
+                       "valuation monotonicity: w0 <= w1 but x0 leaves"):
+        search._recheck_certificate(shrinking, 1, 0, parse_formula("p1"))
+    growing = build_model(n_worlds=2, order=[(0, 1)],
+                          points={0: {0}, 1: {0}}, val={1: {1: {0}}})
+    search._recheck_certificate(growing, 0, 0, parse_formula("p1"))
+    with pytest.raises(RuntimeError, match="failed the independent re-evaluation"):
+        search._recheck_certificate(growing, 1, 0, parse_formula("p1"))
 
 
 def test_probe_reports_candidates_with_images_true_everywhere():

@@ -421,17 +421,41 @@ def flip_bits(rng, model, field, count):
                                val=tuple(tuple(row) for row in val))
 
 
+def with_stray_row(model):
+    """``model`` with one valuation row past ``nvars`` on extra point
+    names: it breaks the valuation domain at every world and valuation
+    monotonicity at every pair of distinct comparable worlds."""
+    P, n = model.n_points, model.n_worlds
+    return dataclasses.replace(
+        model, val=model.val + (tuple(1 << (P + w) for w in range(n)),),
+        point_names=model.point_names + tuple(f"z{w}" for w in range(n)))
+
+
 def test_validate_model_matches_reference_on_flipped_bits():
     rng = random.Random(7)
-    invalid = several = 0
+    fields = ("up", "delta", "srel", "val")
+    invalid = several = mixed = third = 0
     for seed in range(300):
         for kind in (FS, MIPC):
-            model = seeded_model(seed, max_worlds=4, max_points=3, kind=kind)
+            model = seeded_model(seed, max_worlds=4, max_points=3,
+                                 n_vars=2 + seed % 2, kind=kind)
             assert validate_model(model) == reference_validate_model(model) == []
-            for field in ("up", "delta", "srel", "val"):
-                bad = flip_bits(rng, model, field, rng.randint(1, 4))
+            # each field alone, then two or three fields of one model
+            for flipped in [[field] for field in fields] + \
+                    [rng.sample(fields, rng.randint(2, 3))]:
+                bad = model
+                for field in flipped:
+                    bad = flip_bits(rng, bad, field, rng.randint(1, 4))
                 got = validate_model(bad)
-                assert got == reference_validate_model(bad), (seed, kind, field)
+                assert got == reference_validate_model(bad), (seed, kind, flipped)
                 invalid += bool(got)
                 several += len(got) > len({v.condition for v in got})
-    assert invalid > 1500 and several > 500
+                mixed += len({v.condition for v in got}) > 2
+                third += any("p3)" in v.witness for v in got)
+                # a row past nvars is ignored, and counts once nvars covers it
+                stray = with_stray_row(bad)
+                assert validate_model(stray) == reference_validate_model(stray) == got
+                counted = dataclasses.replace(stray, nvars=stray.nvars + 1)
+                assert validate_model(counted) == reference_validate_model(counted)
+                assert len(validate_model(counted)) >= len(got) + bad.n_worlds
+    assert invalid > 2000 and several > 1000 and mixed > 800 and third > 300

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -220,6 +221,22 @@ point v a
         parse_model(text)
     assert any(v.condition == "order antisymmetry"
                for v in err.value.violations)
+
+
+def test_stray_pairs_of_many_point_ids_are_named_in_linear_time():
+    # 10,000 point ids: the witness walks the failing mask's set bits,
+    # since walking all P * P pairs would take seconds
+    text = "world a\npoint a x0\n" + "".join(
+        f"s a x0 y{k}\n" for k in range(1, 10_000))
+    started = time.perf_counter()
+    with pytest.raises(ModelValidationError) as err:
+        parse_model(text)
+    assert time.perf_counter() - started < 1.0
+    [violation] = err.value.violations
+    assert violation.condition == "relation domain"
+    assert violation.witness.startswith("world a relates (x0,y1), (x0,y2), ")
+    assert violation.witness.endswith(", (x0,y9999) outside its points")
+    assert violation.witness.count("(x0,") == 9_999
 
 
 def test_parse_model_syntax_errors():
