@@ -9,8 +9,8 @@ refutation-only oracle for the translation at desk scale.
 
 from .formula import (And, BOTTOM, Box, Diamond, Formula, Implies, Or, Var,
                       box_chain_le, clear_caches, diamond_chain_le,
-                      is_positive, length, mdepth, structurally_equal,
-                      substitute, replace_bottom, tree_size, varset)
+                      is_positive, length, mdepth, substitute,
+                      replace_bottom, tree_size, varset)
 from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         TranslationReport, base_length, family_formula,
                         ground_formulas, level_count, positive_embed,
@@ -18,10 +18,9 @@ from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         spiral_walk, stability_level, star, target_level)
 from .search import (ConsistencyReport, RefutationResult, SearchBudget,
                      SearchStats, check_translation_consistency,
-                     classify_pair, enumerate_models, find_countermodel)
-from .semantics import (FS, MIPC, FiniteFSModel, Violation, build_model,
-                        eval_formula, eval_formula_plain, true_in_model,
-                        truth_table, validate_model)
+                     classify_pair, find_countermodel)
+from .semantics import (FS, MIPC, FiniteFSModel, Violation, eval_formula,
+                        eval_formula_plain, truth_table, validate_model)
 from .syntax import (FormulaSyntaxError, ModelSyntaxError,
                      ModelValidationError, SourceSpan, parse_certificate,
                      parse_formula, parse_model, print_certificate,

@@ -367,26 +367,6 @@ def _chain(m: int, psi: Formula, modal: str, join: str) -> Formula:
     return acc
 
 
-def structurally_equal(a: Formula, b: Formula) -> bool:
-    """Structural comparison that also works across cache generations."""
-    _check(a)
-    _check(b)
-    done: set[tuple[Formula, Formula]] = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y or (x, y) in done:
-            continue
-        if x.kind != y.kind or x.var != y.var or x.length != y.length:
-            return False
-        done.add((x, y))
-        if x.left is not None:
-            stack.append((x.left, y.left))
-        if x.right is not None:
-            stack.append((x.right, y.right))
-    return True
-
-
 def register_cache_clearer(fn) -> None:
     """Register a callback run by :func:`clear_caches`."""
     _cache_clearers.append(fn)
@@ -397,8 +377,9 @@ def clear_caches() -> None:
 
     This starts a new cache generation: nodes built later are new objects
     (only ``BOTTOM`` carries over), so identity-based equality only holds
-    between nodes of one generation; use :func:`structurally_equal`
-    across generations.
+    between nodes of one generation.  To compare across generations,
+    round-trip the old node through pickle, which re-interns it into the
+    current one, or compare the printed texts.
     """
     for table in _tables.values():
         table.clear()

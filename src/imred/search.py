@@ -238,24 +238,6 @@ def _materialise(frame: _Frame, srel: tuple[int, ...],
         point_names=tuple(f"x{x}" for x in range(frame.n_points)))
 
 
-def enumerate_models(budget: SearchBudget, kind: str = FS) -> Iterator[FiniteFSModel]:
-    """Every model within the frame/point/variable budget, canonical order.
-
-    Candidate and time caps are ignored here; callers wanting a bounded
-    prefix can slice the stream.  Every yielded model is valid by
-    construction.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    for n in range(1, budget.max_worlds + 1):
-        for frame in _frames(n, budget.max_points):
-            for srel in _srel_stream(frame, kind):
-                for val in itertools.product(
-                        monotone_masks(frame.n_worlds, frame.up, frame.delta),
-                        repeat=budget.var_bound):
-                    yield _materialise(frame, srel, val, kind, budget.var_bound)
-
-
 def _layers(k: int, bits: int) -> int:
     """The integer with bit r * bits set for every r < k, so a product
     repeats a ``bits``-bit mask k times."""

@@ -70,9 +70,8 @@ class FiniteFSModel:
     are numbered in declaration order, whatever its ``le`` lines say).
     ``val[p - 1][w]`` is the bitmask of points where variable p holds
     at w; variables above ``nvars`` are false everywhere (the empty
-    valuation).  Instances are immutable; build them with
-    :func:`build_model`, the syntax-module reader, or the search
-    enumerator.
+    valuation).  Instances are immutable; the model-file reader
+    (``imred.syntax.parse_model``) and the countermodel search build them.
     """
 
     kind: str
@@ -111,7 +110,8 @@ class FiniteFSModel:
         return self.val[p - 1][w] if 1 <= p <= self.nvars else 0
 
     def encoding(self) -> tuple:
-        """Hashable canonical encoding (used for ordering and caching)."""
+        """Hashable key of the model without its world and point names,
+        for comparing models."""
         return (self.kind, self.n_worlds, self.up, self.delta, self.srel,
                 self.val)
 
@@ -141,65 +141,6 @@ def pair_space(delta_mask: int, n_points: int) -> int:
         out |= delta_mask << (low.bit_length() - 1) * n_points
         rest ^= low
     return out
-
-
-def build_model(*, kind: str = FS, n_worlds: int,
-                order: Iterable[tuple[int, int]] = (),
-                points: Mapping[int, Iterable[int]],
-                srel: Mapping[int, Iterable[tuple[int, int]]] | None = None,
-                val: Mapping[int, Mapping[int, Iterable[int]]] | None = None,
-                nvars: int | None = None,
-                world_names: tuple[str, ...] | None = None,
-                point_names: tuple[str, ...] | None = None) -> FiniteFSModel:
-    """Assemble a model from explicit sets; no validity checks are made.
-
-    ``order`` lists declared pairs (u, v) meaning u <= v; the reflexive-
-    transitive closure is taken.  ``val`` maps variable index to a
-    per-world iterable of points.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    up = transitive_up(n_worlds, order)
-    delta = [0] * n_worlds
-    for w, pts in points.items():
-        for x in pts:
-            delta[w] |= 1 << x
-    max_point = -1
-    for m in delta:
-        if m:
-            max_point = max(max_point, m.bit_length() - 1)
-    srel_in = srel or {}
-    for w, rel in srel_in.items():
-        for x, y in rel:
-            max_point = max(max_point, x, y)
-    val_in = val or {}
-    for p, per_world in val_in.items():
-        for w, pts in per_world.items():
-            for x in pts:
-                max_point = max(max_point, x)
-    n_points = max(1, max_point + 1)
-    srel_masks = [0] * n_worlds
-    for w, rel in srel_in.items():
-        for x, y in rel:
-            srel_masks[w] |= 1 << (x * n_points + y)
-    if nvars is None:
-        nvars = max(val_in, default=0)
-    val_masks = [[0] * n_worlds for _ in range(nvars)]
-    for p, per_world in val_in.items():
-        if not 1 <= p <= nvars:
-            raise ValueError(f"valuation variable p{p} outside 1..{nvars}")
-        for w, pts in per_world.items():
-            for x in pts:
-                val_masks[p - 1][w] |= 1 << x
-    if world_names is None:
-        world_names = tuple(f"w{w}" for w in range(n_worlds))
-    if point_names is None:
-        point_names = tuple(f"x{x}" for x in range(n_points))
-    return FiniteFSModel(
-        kind=kind, n_worlds=n_worlds, n_points=n_points, up=up,
-        delta=tuple(delta), srel=tuple(srel_masks), nvars=nvars,
-        val=tuple(tuple(row) for row in val_masks),
-        world_names=world_names, point_names=point_names)
 
 
 @dataclass(frozen=True)
@@ -557,15 +498,6 @@ def truth_table(model: FiniteFSModel, phi: Formula,
         var_masks[p] = mask & ctx.space
     return dict(zip(nodes, _evaluate(code, var_masks, ctx.space, ctx.imp,
                                      ctx.dia)))
-
-
-def true_in_model(model: FiniteFSModel, phi: Formula,
-                  ctx: TableContext | None = None) -> bool:
-    """True iff ``phi`` holds at every (world, point) pair of the model."""
-    if ctx is None:
-        ctx = TableContext.for_model(model)
-    tables = truth_table(model, phi, ctx)
-    return tables[phi] & ctx.space == ctx.space
 
 
 def monotone_masks(n_worlds: int, up: tuple[int, ...],

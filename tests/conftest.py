@@ -2,8 +2,9 @@ import random
 
 from hypothesis import strategies as st
 
-from imred.corpus import random_formula, random_model
+from imred.corpus import random_formula
 from imred.formula import BOTTOM, And, Box, Diamond, Implies, Or, Var
+from support import random_model
 
 
 def formulas(max_vars: int = 3, allow_bottom: bool = True):

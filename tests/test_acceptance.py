@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from imred.corpus import formula_with_length, random_formula, refutable_corpus
+from imred.corpus import formula_with_length, random_formula
 from imred.formula import (And, Box, Diamond, Implies, Or, Var, is_positive,
                            length, varset)
 from imred.reduction import (base_length, family_formula, ground_formulas,
@@ -22,6 +22,7 @@ from imred.search import (CONTRADICTION, SOFT_MISS, SearchBudget,
                           check_translation_consistency, find_countermodel)
 from imred.semantics import FS, MIPC, bits_of, eval_formula
 from imred.syntax import parse_formula
+from support import refutable_corpus
 
 from conftest import seeded_model
 

@@ -11,9 +11,10 @@ running this; record a new digest only for an intended change.
 import hashlib
 import random
 
-from imred.corpus import formula_with_length, random_model
+from imred.corpus import formula_with_length
 from imred.semantics import FS, MIPC
 from imred.syntax import print_formula, print_model
+from support import random_model
 
 PINNED = {"formula_with_length": "53014f68abe1fe7b",
           "random_model-fs": "c43cb130cfd30c02",

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from imred.formula import (And, Box, Diamond, Implies, Or, Var, clear_caches,
-                           length, structurally_equal, substitute, varset)
+                           length, substitute, varset)
 from imred.reduction import (base_length, family_formula, ground_formulas,
                              level_count, spiral_cell, stability_level,
                              target_level)
+from support import structurally_equal
 
 # Computed once from the adopted length measure and pinned here so that
 # accidental drift in the measure or the family tables shows up loudly.

@@ -19,10 +19,11 @@ from imred.corpus import formula_with_length, random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var, _rebuild,
                            box_chain_le, clear_caches, diamond_chain_le,
                            is_positive, length, mdepth, replace_bottom,
-                           structurally_equal, subformulas, substitute, varset)
+                           subformulas, substitute, varset)
 from imred.reduction import (family_formula, ground_formulas, positive_embed,
                              reduce_to_one_var, star)
 from imred.syntax import FormulaSyntaxError, parse_formula, print_formula
+from support import structurally_equal
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -98,6 +99,7 @@ def test_nodes_of_an_old_generation_stay_usable_as_children():
     assert all(x is y for x, y in zip(built, again))
     fresh = And(Var(1), Diamond(Var(2)))
     assert fresh is not old and structurally_equal(fresh, old)
+    assert pickle.loads(pickle.dumps(old)) is fresh
     assert Diamond(fresh) is not built[0]
 
 

@@ -1,11 +1,16 @@
-"""Every top-level import in the package modules is used."""
+"""Every top-level import in the package modules is used, and every name
+the package exports has a caller."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "imred"
+import imred
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "imred"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -35,3 +40,29 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def uncalled(names, sources: list[str], texts: list[str]) -> list[str]:
+    """The names that no source reads, as a loaded name or an attribute,
+    and that no text holds as a whole word."""
+    called = set(re.findall(r"\w+", "\n".join(texts)))
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    return sorted(set(names) - called)
+
+
+def test_scan_finds_an_uncalled_name():
+    source = "a()\nx.b = 1\nc = 2\n"
+    assert uncalled(["a", "b", "c", "d", "e"], [source], ["see d, not e_"]) == ["c", "e"]
+
+
+def test_every_export_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert uncalled(imred.__all__, sources, texts) == []

@@ -12,10 +12,10 @@ new digest only for an intended change of results.
 
 import hashlib
 
-from imred.corpus import refutable_corpus
 from imred.search import SearchBudget, check_translation_consistency
 from imred.semantics import FS
 from imred.syntax import print_certificate
+from support import refutable_corpus
 
 BUDGET_IN = SearchBudget(2, 2, 2, max_candidates=4000)
 BUDGET_OUT = SearchBudget(2, 2, 2, max_candidates=1500)

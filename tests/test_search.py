@@ -14,19 +14,19 @@ from collections.abc import Iterator
 import pytest
 
 from imred import search
-from imred.corpus import random_formula, refutable_corpus
+from imred.corpus import random_formula
 from imred.formula import (BOTTOM, Box, Implies, Or, Var, clear_caches,
                            substitute, varset)
 from imred.reduction import family_formula, positive_embed, star
 from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
-                          check_translation_consistency, enumerate_models,
-                          find_countermodel)
-from imred.semantics import (FS, MIPC, _compile, bits_of, build_model,
-                             eval_formula_plain, pair_space, supersets_asc,
-                             transitive_up, true_in_model, truth_table,
-                             validate_model)
+                          check_translation_consistency, find_countermodel)
+from imred.semantics import (FS, MIPC, _compile, bits_of, eval_formula_plain,
+                             pair_space, supersets_asc, transitive_up,
+                             truth_table, validate_model)
 from imred.syntax import parse_formula, print_formula
+from support import (build_model, enumerate_models, refutable_corpus,
+                     true_in_model)
 
 
 def canonical_key(model):

@@ -10,10 +10,11 @@ from imred.corpus import random_formula
 from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var,
                            varset)
 from imred.semantics import (FS, MIPC, TableContext, Violation, _moves,
-                             bits_of, build_model, eval_formula,
-                             eval_formula_plain, monotone_masks, pair_space,
-                             true_in_model, truth_table, validate_model)
+                             bits_of, eval_formula, eval_formula_plain,
+                             monotone_masks, pair_space, truth_table,
+                             validate_model)
 from imred.search import _frames, _materialise, _srel_stream
+from support import build_model, true_in_model
 
 
 def single_world(srel=(), val=None, kind=FS, points=(0,)):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import formulas
-from imred.corpus import formula_with_length, random_model
+from imred.corpus import formula_with_length
 from imred.formula import (BOTTOM, IMP, And, Box, Diamond, Formula, Implies,
                            Or, Var)
 from imred import semantics
@@ -18,6 +18,7 @@ from imred.syntax import (_MAX_VAL_VAR, _NAME, _VAL_VAR, FormulaSyntaxError,
                           ModelSyntaxError, ModelValidationError, SourceSpan,
                           parse_certificate, parse_formula, parse_model,
                           print_certificate, print_formula, print_model)
+from support import build_model, random_model
 from test_semantics import assert_tables_match, reference_validate_model
 
 
@@ -370,7 +371,7 @@ def reference_parse_model(text, kind=None):
             "(use parse_certificate)", len(text.splitlines()))
     if not world_ids:
         raise ModelSyntaxError("model declares no worlds", max(1, len(text.splitlines())))
-    model = semantics.build_model(
+    model = build_model(
         kind=kind if kind is not None else (file_kind or semantics.FS),
         n_worlds=len(world_ids), order=order, points=points, srel=srel,
         val=val,
