@@ -221,7 +221,7 @@ def _audit_sizes(count: int, seed: int, max_length: int, out) -> bool:
         if not report.bound_ok:
             print(f"sizes\tfail\tinput={syntax.print_formula(phi)}", file=out)
             return False
-        worst = max(worst, report.output_length / report.bound_limit)
+        worst = max(worst, length(report.output) / report.bound_limit)
     print(f"sizes\tpass\tcorpus={count} seed={seed} max-length={max_length} "
           f"worst-ratio={worst:.6f}", file=out)
     return True

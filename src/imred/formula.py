@@ -219,23 +219,21 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     """All distinct subterms of ``phi`` in bottom-up (children-first) order.
 
     Each node comes once, as soon as its last child is done, left
-    subtrees before right ones; ``phi`` itself comes last.
+    subtrees before right ones; ``phi`` itself comes last.  The stack is
+    one path down the DAG; the dict of finished nodes is the output.
     """
-    done: set[Formula] = set()
-    out: list[Formula] = []
-    stack = [(_check(phi), False)]
+    done: dict[Formula, None] = {}
+    stack = [_check(phi)]
     while stack:
-        node, ready = stack.pop()
-        if ready:
-            done.add(node)
-            out.append(node)
-        elif node not in done:
-            stack.append((node, True))
-            if node.right is not None and node.right not in done:
-                stack.append((node.right, False))
-            if node.left is not None and node.left not in done:
-                stack.append((node.left, False))
-    return iter(out)
+        node = stack[-1]
+        left, right = node.left, node.right
+        if left is not None and left not in done:
+            stack.append(left)
+        elif right is not None and right not in done:
+            stack.append(right)
+        else:
+            done[stack.pop()] = None
+    return iter(done)
 
 
 def _code(phi: Formula) -> tuple[tuple[Formula, ...],
@@ -265,40 +263,22 @@ def _gc_paused(fn):
 
 @_gc_paused
 def _rebuild(phi: Formula, leaf_image) -> Formula:
-    """Bottom-up map over the DAG; ``leaf_image`` maps each leaf node.
-
-    Leaves are mapped when first met, so only inner nodes are stacked; a
-    node whose children map to themselves keeps its identity.
-    """
-    if phi.left is None:
-        return leaf_image(phi)
-    memo: dict[Formula, Formula] = {}
-    stack = [phi]
-    while stack:
-        node = stack[-1]
+    """Bottom-up map over :func:`subformulas`; ``leaf_image`` maps each
+    distinct leaf once, and a node whose children map to themselves
+    keeps its identity."""
+    image: dict[Formula, Formula] = {}
+    for node in subformulas(phi):
         left, right = node.left, node.right
-        nl = memo.get(left)
-        if nl is None and left.left is None:
-            nl = memo[left] = leaf_image(left)
-        if right is None:
-            if nl is None:
-                stack.append(left)
-                continue
-            stack.pop()
-            memo[node] = node if nl is left else _unary(node.kind, nl)
-            continue
-        nr = memo.get(right)
-        if nr is None and right.left is None:
-            nr = memo[right] = leaf_image(right)
-        if nl is None or nr is None:
-            if nr is None:
-                stack.append(right)
-            if nl is None:
-                stack.append(left)
-            continue
-        stack.pop()
-        memo[node] = node if (nl is left and nr is right) else _binary(node.kind, nl, nr)
-    return memo[phi]
+        if left is None:
+            image[node] = leaf_image(node)
+        elif right is None:
+            nl = image[left]
+            image[node] = node if nl is left else _unary(node.kind, nl)
+        else:
+            nl, nr = image[left], image[right]
+            image[node] = node if nl is left and nr is right else \
+                _binary(node.kind, nl, nr)
+    return image[phi]
 
 
 @_gc_paused

@@ -253,10 +253,10 @@ class PositiveEmbedding:
     ``fresh_var`` is the least variable index unused by the input.  The
     guard is the conjunction (diamond_guard & box_guard) &
     entailment_guard; ``body`` is the input with false replaced by the
-    fresh variable; ``positive_form`` is guard -> body.
+    fresh variable; ``positive_form`` is guard -> body.  The input itself
+    is not kept: the caller holds it.
     """
 
-    input: Formula
     fresh_var: int
     diamond_guard: Formula
     box_guard: Formula
@@ -302,7 +302,7 @@ def positive_embed(phi: Formula) -> PositiveEmbedding:
     body = replace_bottom(phi, fv)
     positive_form = Implies(guard, body)
     return PositiveEmbedding(
-        input=phi, fresh_var=f, diamond_guard=diamond_guard,
+        fresh_var=f, diamond_guard=diamond_guard,
         box_guard=box_guard, entailment_guard=entailment_guard, guard=guard,
         body=body, positive_form=positive_form)
 
@@ -319,10 +319,11 @@ class OneVarSubstitution:
     (ascending original order).  ``input_level`` is the least k with the
     renumbered input shorter than base_size * 5^k, and ``level`` =
     input_level + stable_level is where the family members are taken.
-    ``images`` holds the image A_r | B_r of each rank r in rank order.
+    ``images`` holds the image A_r | B_r of each rank r in rank order,
+    and ``result`` is ``renumbered`` with p_r replaced by its image.  The
+    input itself is not kept: the caller holds it.
     """
 
-    input: Formula
     var_map: tuple[tuple[int, int], ...]
     renumbered: Formula
     input_level: int
@@ -369,25 +370,22 @@ def star(phi: Formula) -> OneVarSubstitution:
     if not result.positive:
         raise RuntimeError("substitution lost positivity")
     return OneVarSubstitution(
-        input=phi, var_map=var_map, renumbered=renumbered, input_level=k,
+        var_map=var_map, renumbered=renumbered, input_level=k,
         stable_level=k0, level=level, images=images, result=result)
 
 
 @dataclass(frozen=True)
 class TranslationReport:
-    """Full record of one run of :func:`reduce_to_one_var`."""
+    """Record of one run of :func:`reduce_to_one_var`.
 
-    input: Formula
+    The stage records hold the levels and intermediate formulas once;
+    ``output`` is ``substitution.result``, and lengths are O(1) to read
+    with :func:`length`.
+    """
+
     embedding: PositiveEmbedding
     substitution: OneVarSubstitution
-    base_size: int
-    stable_level: int
-    input_level: int
-    level: int
     output: Formula
-    input_length: int
-    positive_length: int
-    output_length: int
     bound_limit: int
     bound_ok: bool
 
@@ -396,20 +394,13 @@ def reduce_to_one_var(phi: Formula) -> TranslationReport:
     """Translate any formula into the positive one-variable fragment.
 
     Runs :func:`positive_embed` and then :func:`star` on its result.
-    The report records the quadratic size check: output_length must stay
-    below bound_limit = 2 * 5^(stable_level + 1) * positive_length^2.
+    The report records the quadratic size check: the output's length
+    must stay below bound_limit = 2 * 5^(stable_level + 1) *
+    length(positive_form)^2.
     """
-    _check(phi)
     embedding = positive_embed(phi)
     subst = star(embedding.positive_form)
-    output = subst.result
-    positive_length = length(embedding.positive_form)
-    bound_limit = 2 * 5 ** (subst.stable_level + 1) * positive_length ** 2
-    output_length = length(output)
+    bound_limit = 2 * 5 ** (subst.stable_level + 1) * length(embedding.positive_form) ** 2
     return TranslationReport(
-        input=phi, embedding=embedding, substitution=subst,
-        base_size=base_length(), stable_level=subst.stable_level,
-        input_level=subst.input_level, level=subst.level, output=output,
-        input_length=length(phi), positive_length=positive_length,
-        output_length=output_length, bound_limit=bound_limit,
-        bound_ok=output_length < bound_limit)
+        embedding=embedding, substitution=subst, output=subst.result,
+        bound_limit=bound_limit, bound_ok=length(subst.result) < bound_limit)

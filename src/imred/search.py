@@ -543,10 +543,10 @@ class ConsistencyReport:
     ``images_held`` counts the one-variable candidates tested at which
     every substitution image A_r | B_r held at every (world, point), so
     that the output had the truth of the positive form with every
-    variable true.
+    variable true.  The probed formula is not kept (the caller holds
+    it), and the one-variable output is ``substitution.result``.
     """
 
-    input: Formula
     embedding: PositiveEmbedding
     substitution: OneVarSubstitution
     input_result: RefutationResult
@@ -594,7 +594,7 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     one_var_result, held = _search_images(sub.renumbered, sub.images, one_var,
                                           budget_one, kind)
     return ConsistencyReport(
-        input=phi, embedding=report.embedding, substitution=sub,
+        embedding=report.embedding, substitution=sub,
         input_result=input_result, positive_result=positive_result,
         one_var_result=one_var_result,
         positive_outcome=classify_pair(input_result, positive_result),

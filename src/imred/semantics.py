@@ -100,9 +100,6 @@ class FiniteFSModel:
         """Bitmask of points y with (x, y) in srel[w]."""
         return (self.srel[w] >> (x * self.n_points)) & ((1 << self.n_points) - 1)
 
-    def leq(self, w: int, v: int) -> bool:
-        return bool((self.up[w] >> v) & 1)
-
     def has_point(self, w: int, x: int) -> bool:
         return bool((self.delta[w] >> x) & 1)
 

@@ -264,6 +264,14 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
     names, then point ids; then :class:`ModelValidationError` naming
     every condition :func:`semantics.validate_model` finds violated.
     """
+    return _read_model(text, kind, certificate=False)[0]
+
+
+def _read_model(text: str, kind: str | None, certificate: bool
+                ) -> tuple[FiniteFSModel, tuple[str, str, int] | None]:
+    """:func:`parse_model`, also returning the ``refutes`` trailer as
+    (world name, point name, line number): a certificate needs exactly
+    one, and a model file none (all its trailers get one error at its end)."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.partition("#")[0] for raw in lines]
@@ -275,7 +283,7 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
     pairs: list[tuple[int, int, int]] = []
     vals: list[tuple[int, int, int]] = []
     file_kind: str | None = None
-    refutes = False
+    trailer: tuple[str, str, int] | None = None
     for line_no, fields in enumerate(map(str.split, lines), 1):
         if not fields:
             continue
@@ -327,15 +335,18 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
                 raise ModelSyntaxError("expected 'kind fs' or 'kind mipc'", line_no)
             file_kind = fields[1]
         elif directive == "refutes":
+            if certificate and trailer is not None:
+                raise ModelSyntaxError("duplicate 'refutes' trailer", line_no)
             if len(fields) != 3:
                 raise ModelSyntaxError("expected 'refutes <world> <point>'", line_no)
-            refutes = True
+            trailer = (fields[1], fields[2], line_no)
         else:
             raise ModelSyntaxError(f"unknown directive {directive!r}", line_no)
-    if refutes:
+    if certificate != (trailer is not None):
         raise ModelSyntaxError(
+            "certificate lacks a 'refutes' trailer" if certificate else
             "'refutes' trailer is only allowed in certificates "
-            "(use parse_certificate)", len(lines))
+            "(use parse_certificate)", max(1, len(lines)))
     if not world_ids:
         raise ModelSyntaxError("model declares no worlds", max(1, len(lines)))
     kind = kind if kind is not None else (file_kind or semantics.FS)
@@ -357,24 +368,20 @@ def parse_model(text: str, kind: str | None = None) -> FiniteFSModel:
     violations = semantics.validate_model(model)
     if violations:
         raise ModelValidationError(violations)
-    return model
+    return model, trailer
 
 
 def _reduction_pairs(model: FiniteFSModel) -> list[tuple[int, int]]:
     # Transitive reduction of the strict order: enough for the closure to
     # restore the full relation, and the shortest faithful printout.
     out = []
-    for w in model.worlds():
-        for v in bits_of(model.up[w]):
-            if v == w:
-                continue
-            direct = True
-            for z in bits_of(model.up[w]):
-                if z != w and z != v and model.leq(z, v):
-                    direct = False
-                    break
-            if direct:
-                out.append((w, v))
+    for w, up in enumerate(model.up):
+        strict = up & ~(1 << w)
+        covered = 0
+        for v in bits_of(strict):
+            covered |= model.up[v] & ~(1 << v)
+        for v in bits_of(strict & ~covered):
+            out.append((w, v))
     return out
 
 
@@ -410,25 +417,13 @@ def print_certificate(model: FiniteFSModel, w: int, x: int) -> str:
 def parse_certificate(text: str) -> tuple[FiniteFSModel, int, int]:
     """Read a certificate: a model file with one ``refutes`` trailer.
 
-    The trailer may stand on any line; errors carry the file's line
-    numbers, because the model is read with the trailer line blanked.
+    The trailer may stand on any line.  Errors follow :func:`parse_model`,
+    at the first malformed line, a second trailer included; a trailer
+    that names an unknown world or point, or a point that does not live
+    at the world, is reported at the trailer's line once the model is
+    valid.
     """
-    lines = text.splitlines()
-    trailer = None
-    for line_no, raw in enumerate(lines, 1):
-        fields = raw.partition("#")[0].split()
-        if fields and fields[0] == "refutes":
-            if trailer is not None:
-                raise ModelSyntaxError("duplicate 'refutes' trailer", line_no)
-            if len(fields) != 3:
-                raise ModelSyntaxError("expected 'refutes <world> <point>'", line_no)
-            trailer = (fields[1], fields[2], line_no)
-            lines[line_no - 1] = ""
-    if trailer is None:
-        raise ModelSyntaxError("certificate lacks a 'refutes' trailer",
-                               max(1, len(lines)))
-    model = parse_model("".join(line + "\n" for line in lines))
-    wname, xname, line_no = trailer
+    model, (wname, xname, line_no) = _read_model(text, None, certificate=True)
     try:
         w = model.world_names.index(wname)
     except ValueError:

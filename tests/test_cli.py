@@ -234,6 +234,13 @@ def test_oversized_variable_indices_exit_2_without_traceback(tmp_path, capsys):
     assert "line 3: variable index above 10000" in err
 
 
+def test_check_of_a_missing_model_file_exits_2_with_one_line(tmp_path, capsys):
+    assert run(["check", str(tmp_path / "absent.model"), "p1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error\t") and err.count("\n") == 1
+    assert "absent.model" in err
+
+
 def test_check_rejects_invalid_model(tmp_path):
     model = tmp_path / "bad.model"
     model.write_text("world u\nworld v\nle u v\npoint u a\npoint v b\n",

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import os
@@ -37,6 +38,8 @@ def test_interning_makes_equality_structural():
     nodes = [And(a, b), Or(a, b), Implies(a, b)]
     assert [node.kind for node in nodes] == ["and", "or", "imp"]
     assert all(x is y for x, y in zip(nodes, [And(a, b), Or(a, b), Implies(a, b)]))
+    # a copy of a node is the node, so copying keeps equality structural
+    assert all(copy.copy(x) is x and copy.deepcopy(x) is x for x in nodes)
 
 
 def test_var_validation():
@@ -452,13 +455,13 @@ def test_a_failed_build_leaves_the_collector_enabled():
 def test_concurrent_translations_leave_the_collector_enabled():
     rng = random.Random(24)
     inputs = [formula_with_length(rng, 150) for _ in range(50)]
-    expected = [reduce_to_one_var(phi).output_length for phi in inputs]
+    expected = [length(reduce_to_one_var(phi).output) for phi in inputs]
     clear_caches()  # the threads race to intern the same nodes
     results = [[] for _ in range(4)]
 
     def work(out):
         for phi in inputs:
-            out.append(reduce_to_one_var(phi).output_length)
+            out.append(length(reduce_to_one_var(phi).output))
 
     threads = [threading.Thread(target=work, args=(out,)) for out in results]
     interval = sys.getswitchinterval()

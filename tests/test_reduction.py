@@ -142,14 +142,12 @@ def test_target_level_thresholds():
 def test_reduce_report_is_internally_consistent():
     phi = parse_formula("<>false -> false")
     report = reduce_to_one_var(phi)
-    assert report.input is phi
-    assert report.input_length == length(phi)
-    assert report.positive_length == length(report.embedding.positive_form)
-    assert report.output_length == length(report.output)
-    assert report.base_size == base_length()
-    assert report.level == report.input_level + report.stable_level
+    sub = report.substitution
+    assert report.output is sub.result
+    assert sub.level == sub.input_level + sub.stable_level
     assert report.bound_limit == \
-        2 * 5 ** (report.stable_level + 1) * report.positive_length ** 2
+        2 * 5 ** (sub.stable_level + 1) * length(report.embedding.positive_form) ** 2
+    assert report.bound_ok == (length(report.output) < report.bound_limit)
     assert report.bound_ok
     assert varset(report.output) == {1}
     assert is_positive(report.output)

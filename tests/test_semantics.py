@@ -118,6 +118,9 @@ def test_eval_rejects_missing_point():
     model = chain_model()
     with pytest.raises(ValueError):
         eval_formula(model, 0, 1, Var(1))  # point 1 lives only at world 1
+    for w in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            eval_formula(model, w, 0, Var(1))
 
 
 def test_true_in_model():

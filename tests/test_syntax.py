@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -13,11 +14,12 @@ from imred.formula import (BOTTOM, IMP, And, Box, Diamond, Formula, Implies,
                            Or, Var)
 from imred import semantics
 from imred.reduction import family_formula, ground_formulas
-from imred.semantics import MIPC, validate_model
+from imred.semantics import MIPC, bits_of, validate_model
 from imred.syntax import (_MAX_VAL_VAR, _NAME, _VAL_VAR, FormulaSyntaxError,
                           ModelSyntaxError, ModelValidationError, SourceSpan,
                           parse_certificate, parse_formula, parse_model,
-                          print_certificate, print_formula, print_model)
+                          _reduction_pairs, print_certificate, print_formula,
+                          print_model)
 from support import build_model, random_model
 from test_semantics import assert_tables_match, reference_validate_model
 
@@ -540,6 +542,26 @@ val v p2 b
     assert again.world_names == model.world_names
 
 
+def test_printed_order_is_the_transitive_reduction():
+    rng = random.Random(31)
+    for seed in range(200):
+        model = random_model(random.Random(seed), max_worlds=6, max_points=1,
+                             n_vars=0)
+        # the same order with world ids in any order, as a model file's are
+        perm = list(model.worlds())
+        rng.shuffle(perm)
+        shuffled = [0] * model.n_worlds
+        for w, up in enumerate(model.up):
+            shuffled[perm[w]] = sum(1 << perm[v] for v in bits_of(up))
+        for up in (model.up, tuple(shuffled)):
+            def below(u, v):
+                return u != v and (up[u] >> v) & 1
+            want = [(w, v) for w in model.worlds() for v in model.worlds()
+                    if below(w, v) and not any(below(w, z) and below(z, v)
+                                               for z in model.worlds())]
+            assert _reduction_pairs(dataclasses.replace(model, up=up)) == want
+
+
 def test_certificate_round_trip():
     model = parse_model(TRIVIAL_MODEL)
     text = print_certificate(model, 0, 0)
@@ -572,3 +594,30 @@ def test_certificate_errors_carry_file_line_numbers():
     with pytest.raises(ModelSyntaxError) as err:
         parse_certificate("refutes a x\n\n# no worlds\n")
     assert (err.value.reason, err.value.line_no) == ("model declares no worlds", 3)
+
+
+def test_certificate_errors_name_the_trailer_line():
+    body = "world a\nworld b\nle a b\npoint a x\npoint b x\npoint b y\n"
+    cases = [("refutes b y\n" + body + "refutes a x\n",
+              "duplicate 'refutes' trailer", 8),
+             (body + "refutes a\n", "expected 'refutes <world> <point>'", 7),
+             ("refutes c x\n" + body, "unknown world 'c'", 1),
+             (body + "refutes a y\n", "point 'y' does not live at world 'a'", 7)]
+    for text, reason, line_no in cases:
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_certificate(text)
+        assert (err.value.reason, err.value.line_no) == (reason, line_no)
+    assert parse_certificate(body + "refutes b y\n")[1:] == (1, 1)
+
+
+def test_certificate_errors_come_at_the_first_malformed_line():
+    # a second trailer is one more malformed line, not checked ahead of the
+    # model lines
+    text = "world a\npoint a x\nrefutes a x\nbogus line\nrefutes a x\n"
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_certificate(text)
+    assert (err.value.reason, err.value.line_no) == ("unknown directive 'bogus'", 4)
+    text = "world a\npoint a x\nrefutes a x\nrefutes a x\nbogus line\n"
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_certificate(text)
+    assert (err.value.reason, err.value.line_no) == ("duplicate 'refutes' trailer", 4)
