@@ -261,6 +261,25 @@ def _gc_paused(fn):
     return paused
 
 
+class _Checked:
+    """Checks for a NamedTuple record: list it before the record's
+    NamedTuple base, whose body may not define ``__new__``, and define
+    ``_check_fields``.  A call, ``_replace`` and unpickling all run the
+    check, since ``_make`` calls the class, not ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check_fields()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 @_gc_paused
 def _rebuild(phi: Formula, leaf_image) -> Formula:
     """Bottom-up map over :func:`subformulas`; ``leaf_image`` maps each

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import formula as fm
 from .formula import (And, Box, Diamond, Formula, Implies, Or, Var, _check,
@@ -246,8 +245,7 @@ def target_level(phi: Formula) -> int:
 # Stage 1: removing the constant false.
 
 
-@dataclass(frozen=True)
-class PositiveEmbedding:
+class PositiveEmbedding(NamedTuple):
     """Result of :func:`positive_embed`.
 
     ``fresh_var`` is the least variable index unused by the input.  The
@@ -311,8 +309,7 @@ def positive_embed(phi: Formula) -> PositiveEmbedding:
 # Stage 2: down to one variable.
 
 
-@dataclass(frozen=True)
-class OneVarSubstitution:
+class OneVarSubstitution(NamedTuple):
     """Result of :func:`star`.
 
     ``var_map`` pairs each original variable index with its dense rank
@@ -374,8 +371,7 @@ def star(phi: Formula) -> OneVarSubstitution:
         stable_level=k0, level=level, images=images, result=result)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     """Record of one run of :func:`reduce_to_one_var`.
 
     The stage records hold the levels and intermediate formulas once;

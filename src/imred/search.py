@@ -47,14 +47,12 @@ exhausted result only means no countermodel exists within the budget
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .formula import Formula, register_cache_clearer, varset
+from .formula import Formula, _Checked, register_cache_clearer, varset
 from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         reduce_to_one_var)
 from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
@@ -65,8 +63,15 @@ from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
 _LANES = 256
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _BudgetFields(NamedTuple):
+    max_worlds: int
+    max_points: int
+    var_bound: int
+    max_candidates: int | None = None
+    time_cap_ms: float | None = None
+
+
+class SearchBudget(_Checked, _BudgetFields):
     """Bounds for model enumeration.
 
     ``max_worlds``/``max_points`` bound the frame, ``var_bound`` the
@@ -76,13 +81,9 @@ class SearchBudget:
     bool is not).
     """
 
-    max_worlds: int
-    max_points: int
-    var_bound: int
-    max_candidates: int | None = None
-    time_cap_ms: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check_fields(self) -> None:
         for name, least in (("max_worlds", 1), ("max_points", 1),
                             ("var_bound", 0), ("max_candidates", 1)):
             value = getattr(self, name)
@@ -95,8 +96,7 @@ class SearchBudget:
             raise ValueError("caps must be positive when present")  # NaN too
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """What a search actually did; carried by every result."""
 
     models_tested: int
@@ -105,8 +105,7 @@ class SearchStats:
     stop: str  # "countermodel" | "exhausted" | "candidate-cap" | "time-cap"
 
 
-@dataclass(frozen=True)
-class RefutationResult:
+class RefutationResult(NamedTuple):
     """Countermodel certificate or an exhaustion marker.
 
     ``refuted`` distinguishes the two outcomes; a certificate always
@@ -194,8 +193,7 @@ def _delta_assignments(n_worlds: int, up: tuple[int, ...], max_points: int,
     return out
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     n_worlds: int
     n_points: int
     up: tuple[int, ...]
@@ -536,8 +534,7 @@ def classify_pair(input_result: RefutationResult,
     return CONTRADICTION if output_result.refuted else CONSISTENT
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Outcome of one translation-consistency probe.
 
     ``images_held`` counts the one-variable candidates tested at which
@@ -587,10 +584,9 @@ def check_translation_consistency(phi: Formula, budget_in: SearchBudget,
     positive, one_var = report.embedding.positive_form, report.output
     sub = report.substitution
     input_result = find_countermodel(phi, budget_in, kind)
-    positive_result = find_countermodel(positive, dataclasses.replace(
-        budget_out, var_bound=max(varset(positive), default=0)), kind)
-    budget_one = dataclasses.replace(
-        budget_out, var_bound=max(varset(one_var), default=0))
+    positive_result = find_countermodel(positive, budget_out._replace(
+        var_bound=max(varset(positive), default=0)), kind)
+    budget_one = budget_out._replace(var_bound=max(varset(one_var), default=0))
     one_var_result, held = _search_images(sub.renumbered, sub.images, one_var,
                                           budget_one, kind)
     return ConsistencyReport(

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import collections
 import functools
-from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Mapping, Sequence
+from typing import (Generator, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, _code,
                       register_cache_clearer, varset)
@@ -61,8 +61,7 @@ def supersets_asc(lower: int, space: int) -> Iterator[int]:
         sub = (sub - free) & free
 
 
-@dataclass(frozen=True)
-class FiniteFSModel:
+class FiniteFSModel(NamedTuple):
     """A finite FS- or MIPC-model over interned world and point ids.
 
     ``up[w]`` is the bitmask of worlds v with w <= v (including w itself);
@@ -140,8 +139,7 @@ def pair_space(delta_mask: int, n_points: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed model condition with a human-readable witness."""
 
     condition: str

@@ -31,22 +31,25 @@ Certificates append one trailer line: ``refutes <world> <point>``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import semantics
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Formula, Var,
-                      _binary, _check, _gc_paused, _unary)
+                      _binary, _check, _Checked, _gc_paused, _unary)
 from .semantics import FiniteFSModel, Violation, bits_of
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open offsets [begin, end) into the input text."""
-
+class _SpanFields(NamedTuple):
     begin: int
     end: int
 
-    def __post_init__(self) -> None:
+
+class SourceSpan(_Checked, _SpanFields):
+    """Half-open offsets [begin, end) into the input text."""
+
+    __slots__ = ()
+
+    def _check_fields(self) -> None:
         if not 0 <= self.begin <= self.end:
             raise ValueError(f"bad span {self.begin}..{self.end}")
 

@@ -2,8 +2,11 @@
 the package exports has a caller."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,12 @@ def test_every_export_has_a_caller():
              for path in sorted((ROOT / "bench").glob("*.py"))]
     texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
     assert uncalled(imred.__all__, sources, texts) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # this process has both loaded, so only a fresh interpreter can tell
+    probe = "import sys, imred; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, timeout=60, check=True)
+    assert child.stdout == "[]\n"

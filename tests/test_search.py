@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import pathlib
+import pickle
 import random
 import resource
 import subprocess
@@ -17,14 +18,15 @@ from imred import search
 from imred.corpus import random_formula
 from imred.formula import (BOTTOM, Box, Implies, Or, Var, clear_caches,
                            substitute, varset)
-from imred.reduction import family_formula, positive_embed, star
+from imred.reduction import (family_formula, positive_embed,
+                             reduce_to_one_var, star)
 from imred.search import (CONSISTENT, CONTRADICTION, SOFT_MISS, SearchBudget,
                           SearchStats, RefutationResult, classify_pair,
                           check_translation_consistency, find_countermodel)
 from imred.semantics import (FS, MIPC, _compile, bits_of, eval_formula_plain,
                              pair_space, supersets_asc, transitive_up,
                              truth_table, validate_model)
-from imred.syntax import parse_formula, print_formula
+from imred.syntax import SourceSpan, parse_formula, print_formula
 from support import (build_model, enumerate_models, refutable_corpus,
                      true_in_model)
 
@@ -58,6 +60,44 @@ def test_budget_bounds_must_be_ints(bounds, cap):
 def test_budget_time_cap_may_be_a_float():
     budget = SearchBudget(1, 1, 1, max_candidates=3, time_cap_ms=2.5)
     assert find_countermodel(parse_formula("p1"), budget, FS).refuted
+
+
+def test_budget_replace_and_unpickling_run_the_checks():
+    with pytest.raises(ValueError, match="max_worlds must be an int >= 1, got 0"):
+        SearchBudget(2, 2, 1)._replace(max_worlds=0)
+    unchecked = tuple.__new__(SearchBudget, (2, 0, 1, None, None))
+    with pytest.raises(ValueError, match="max_points must be an int >= 1, got 0"):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def every_record() -> list:
+    """One instance of each record type of the package."""
+    phi = parse_formula("<>p1 -> []p1")
+    budget = SearchBudget(2, 2, 1, max_candidates=50)
+    refuted = find_countermodel(phi, budget, FS)
+    report = reduce_to_one_var(phi)
+    records = [budget, refuted, refuted.stats, refuted.countermodel,
+               validate_model(refuted.countermodel._replace(up=(0,)))[0],
+               SourceSpan(1, 2), report, report.embedding, report.substitution,
+               check_translation_consistency(phi, budget, budget, FS),
+               next(search._frames(1, 1))]
+    assert len({type(record) for record in records}) == 11
+    return records
+
+
+def test_records_pickle_to_equal_records():
+    budget, refuted, _, model = every_record()[:4]
+    assert refuted.refuted
+    for record in (budget, model, refuted):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+
+
+def test_records_are_immutable():
+    for record in every_record():
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])
@@ -299,12 +339,11 @@ def test_time_cap_environment_variable(monkeypatch):
 
 
 def test_mipc_certificates_also_refute_as_fs_models():
-    import dataclasses
     for text in ("<>p1 -> []p1", "((p1 -> p2) -> p1) -> p1"):
         phi = parse_formula(text)
         result = find_countermodel(phi, SearchBudget(2, 2, 2), MIPC)
         assert result.refuted
-        as_fs = dataclasses.replace(result.countermodel, kind=FS)
+        as_fs = result.countermodel._replace(kind=FS)
         assert validate_model(as_fs) == []
         assert not eval_formula_plain(as_fs, result.world, result.point, phi)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -64,15 +63,14 @@ def test_validate_flags_empty_point_set():
 
 
 def test_validate_flags_broken_order():
-    import dataclasses
     model = single_world()
-    no_reflex = dataclasses.replace(model, up=(0,))
+    no_reflex = model._replace(up=(0,))
     assert "order reflexivity" in {v.condition for v in validate_model(no_reflex)}
     two = build_model(n_worlds=2, points={0: {0}, 1: {0}})
-    cyclic = dataclasses.replace(two, up=(0b11, 0b11))
+    cyclic = two._replace(up=(0b11, 0b11))
     assert "order antisymmetry" in {v.condition for v in validate_model(cyclic)}
     three = build_model(n_worlds=3, points={0: {0}, 1: {0}, 2: {0}})
-    broken = dataclasses.replace(three, up=(0b011, 0b110, 0b100))
+    broken = three._replace(up=(0b011, 0b110, 0b100))
     assert "order transitivity" in {v.condition for v in validate_model(broken)}
 
 
@@ -153,7 +151,6 @@ def test_evaluators_agree(seed, phi):
 
 def grow_valuation(rng, model):
     """Enlarge V pointwise, preserving monotonicity, by one random point."""
-    import dataclasses
     val = [list(row) for row in model.val]
     p = rng.randrange(len(val))
     w = rng.randrange(model.n_worlds)
@@ -163,7 +160,7 @@ def grow_valuation(rng, model):
     x = rng.choice(candidates)
     for v in bits_of(model.up[w]):
         val[p][v] |= 1 << x
-    return dataclasses.replace(model, val=tuple(tuple(r) for r in val))
+    return model._replace(val=tuple(tuple(r) for r in val))
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,14 +227,13 @@ def test_deep_box_nesting_evaluates_without_recursion():
 
 def reversed_world_ids(model):
     """The same model with world ids reversed, so they run against the order."""
-    import dataclasses
     last = model.n_worlds - 1
 
     def flip(mask):
         return sum(1 << (last - v) for v in bits_of(mask))
 
-    return dataclasses.replace(
-        model, up=tuple(flip(m) for m in reversed(model.up)),
+    return model._replace(
+        up=tuple(flip(m) for m in reversed(model.up)),
         delta=model.delta[::-1], srel=model.srel[::-1],
         val=tuple(row[::-1] for row in model.val),
         world_names=model.world_names[::-1])
@@ -420,9 +416,8 @@ def flip_bits(rng, model, field, count):
             srel[w] ^= 1 << rng.randrange(P * P)
         else:
             val[rng.randrange(model.nvars)][w] ^= 1 << rng.randrange(P)
-    return dataclasses.replace(model, up=tuple(up), delta=tuple(delta),
-                               srel=tuple(srel),
-                               val=tuple(tuple(row) for row in val))
+    return model._replace(up=tuple(up), delta=tuple(delta), srel=tuple(srel),
+                          val=tuple(tuple(row) for row in val))
 
 
 def with_stray_row(model):
@@ -430,8 +425,8 @@ def with_stray_row(model):
     names: it breaks the valuation domain at every world and valuation
     monotonicity at every pair of distinct comparable worlds."""
     P, n = model.n_points, model.n_worlds
-    return dataclasses.replace(
-        model, val=model.val + (tuple(1 << (P + w) for w in range(n)),),
+    return model._replace(
+        val=model.val + (tuple(1 << (P + w) for w in range(n)),),
         point_names=model.point_names + tuple(f"z{w}" for w in range(n)))
 
 
@@ -459,7 +454,7 @@ def test_validate_model_matches_reference_on_flipped_bits():
                 # a row past nvars is ignored, and counts once nvars covers it
                 stray = with_stray_row(bad)
                 assert validate_model(stray) == reference_validate_model(stray) == got
-                counted = dataclasses.replace(stray, nvars=stray.nvars + 1)
+                counted = stray._replace(nvars=stray.nvars + 1)
                 assert validate_model(counted) == reference_validate_model(counted)
                 assert len(validate_model(counted)) >= len(got) + bad.n_worlds
     assert invalid > 2000 and several > 1000 and mixed > 800 and third > 300
