@@ -239,13 +239,17 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 def _code(phi: Formula) -> tuple[tuple[Formula, ...],
                                  tuple[tuple[str, int, int], ...]]:
     """The distinct subterms of ``phi``, children-first with the root
-    last, and one instruction (kind, left position or variable index,
-    right position) per subterm."""
-    nodes = tuple(subformulas(phi))
-    position = {node: k for k, node in enumerate(nodes)}
-    return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
-                        (node.kind, position.get(node.left, 0),
-                         position.get(node.right, 0)) for node in nodes)
+    last, and their instructions, built in one loop: (kind, variable
+    index, 0) for a leaf, (kind, left position, right position or 0) else."""
+    position: dict[Formula, int] = {}
+    code = []
+    for node in subformulas(phi):
+        left, right = node.left, node.right
+        code.append((node.kind, node.var, 0) if left is None else
+                    (node.kind, position[left],
+                     0 if right is None else position[right]))
+        position[node] = len(code) - 1
+    return tuple(position), tuple(code)
 
 
 def _gc_paused(fn):

@@ -200,6 +200,8 @@ class _Frame(NamedTuple):
     delta: tuple[int, ...]
     spaces: tuple[int, ...]  # per-world full pair mask over delta
     pairs: tuple[tuple[int, int], ...]  # legal (world, point) pairs, w-major
+    world_names: tuple[str, ...]  # w0, w1, ...: one tuple per _frames call
+    point_names: tuple[str, ...]  # x0, x1, ...: one tuple per point count
 
 
 def _frames(n_worlds: int, max_points: int) -> Iterator[_Frame]:
@@ -207,16 +209,21 @@ def _frames(n_worlds: int, max_points: int) -> Iterator[_Frame]:
     per world, ordered by total point count, then order, then point
     sets.  Only one (total, order) bucket is held at a time."""
     posets = _posets(n_worlds)
+    world_names = tuple(f"w{w}" for w in range(n_worlds))
+    point_names: dict[int, tuple[str, ...]] = {}
     for total in range(n_worlds, n_worlds * max_points + 1):
         for up in posets:
             for delta, used in sorted(_delta_assignments(n_worlds, up,
                                                          max_points, total)):
                 n_points = max(1, used)
+                if n_points not in point_names:
+                    point_names[n_points] = tuple(f"x{x}" for x in range(n_points))
                 yield _Frame(
                     n_worlds=n_worlds, n_points=n_points, up=up, delta=delta,
                     spaces=tuple(pair_space(m, n_points) for m in delta),
                     pairs=tuple((w, x) for w in range(n_worlds)
-                                for x in bits_of(delta[w])))
+                                for x in bits_of(delta[w])),
+                    world_names=world_names, point_names=point_names[n_points])
 
 
 def _srel_stream(frame: _Frame, kind: str) -> Iterator[tuple[int, ...]]:
@@ -232,8 +239,7 @@ def _materialise(frame: _Frame, srel: tuple[int, ...],
     return FiniteFSModel(
         kind=kind, n_worlds=frame.n_worlds, n_points=frame.n_points,
         up=frame.up, delta=frame.delta, srel=srel, nvars=var_bound, val=val,
-        world_names=tuple(f"w{w}" for w in range(frame.n_worlds)),
-        point_names=tuple(f"x{x}" for x in range(frame.n_points)))
+        world_names=frame.world_names, point_names=frame.point_names)
 
 
 def _layers(k: int, bits: int) -> int:

@@ -269,39 +269,43 @@ def eval_formula_plain(model: FiniteFSModel, w: int, x: int, phi: Formula) -> bo
 
     Independent of the bitmask evaluator, it follows the clauses over
     ``up``, ``succ`` and the valuation one (subterm, world, point) goal
-    at a time, stops a quantifier at its first witness, and memoizes
-    every goal, so cost is at most DAG size times pair count times the
+    at a time and stops a quantifier at its first witness.  It reads a
+    variable or false goal, the root too, on the spot and memoizes every
+    compound goal, so cost is at most DAG size times pair count times the
     quantifier fan-out.  A goal waits for its subgoals on an explicit
     stack, so nesting depth is not bounded by Python recursion.
     """
     _require_point(model, w, x)
     memo: dict[tuple[Formula, int, int], bool] = {}
-    goal = (phi, w, x)
-    stack = [(goal, _clause(model, *goal))]
-    value = None
-    while stack:
-        goal, clause = stack[-1]
-        try:
-            sub = clause.send(value)
-        except StopIteration as done:
-            value = memo[goal] = done.value
-            stack.pop()
-            continue
-        value = memo.get(sub)
-        if value is None:
-            stack.append((sub, _clause(model, *sub)))
-    return value
+    stack = []
+    sub = (phi, w, x)
+    while True:
+        node, v, y = sub
+        if node.kind == VAR:
+            value = (model.value_mask(node.var, v) >> y) & 1 == 1
+        elif node.kind == BOT:
+            value = False
+        else:
+            value = memo.get(sub)
+            if value is None:  # a new compound goal; its clause starts on None
+                stack.append((sub, _clause(model, *sub)))
+        while True:
+            if not stack:
+                return value
+            goal, clause = stack[-1]
+            try:
+                sub = clause.send(value)
+                break
+            except StopIteration as done:
+                value = memo[goal] = done.value
+                stack.pop()
 
 
 def _clause(m: FiniteFSModel, phi: Formula, w: int,
             x: int) -> Generator[tuple[Formula, int, int], bool, bool]:
-    """Truth of ``phi`` at (w, x) by its clause; yields each (subterm,
-    world, point) goal it reads and is sent that goal's truth."""
+    """Truth of compound ``phi`` at (w, x) by its clause; yields each
+    (subterm, world, point) goal it reads and is sent that goal's truth."""
     kind = phi.kind
-    if kind == VAR:
-        return bool((m.value_mask(phi.var, w) >> x) & 1)
-    if kind == BOT:
-        return False
     if kind == AND:
         return (yield phi.left, w, x) and (yield phi.right, w, x)
     if kind == OR:

@@ -4,8 +4,9 @@
 draws a random valid one; ``refutable_corpus`` collects random formulas
 that the bounded search refutes.  ``enumerate_models`` materialises the
 search's own candidate stream one model at a time, ``true_in_model``
-reads a formula's validity off its truth table, and
-``structurally_equal`` compares formulas across cache generations.
+reads a formula's validity off its truth table,
+``structurally_equal`` compares formulas across cache generations, and
+``code_three_pass`` is the reference for ``imred.formula._code``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from typing import Iterable, Iterator, Mapping
 
 from imred.corpus import random_formula
-from imred.formula import Formula, _check
+from imred.formula import VAR, Formula, _check, subformulas
 from imred.search import (SearchBudget, _frames, _materialise, _srel_stream,
                           find_countermodel)
 from imred.semantics import (FS, KINDS, FiniteFSModel, TableContext,
@@ -204,3 +205,15 @@ def structurally_equal(a: Formula, b: Formula) -> bool:
         if x.right is not None:
             stack.append((x.right, y.right))
     return True
+
+
+def code_three_pass(phi: Formula) -> tuple[tuple[Formula, ...],
+                                           tuple[tuple[str, int, int], ...]]:
+    """``imred.formula._code`` as it was built in three passes: the
+    subterm tuple, a position dict over it, then the instructions, with
+    a leaf's missing children read as position 0."""
+    nodes = tuple(subformulas(phi))
+    position = {node: k for k, node in enumerate(nodes)}
+    return nodes, tuple((node.kind, node.var, 0) if node.kind == VAR else
+                        (node.kind, position.get(node.left, 0),
+                         position.get(node.right, 0)) for node in nodes)

@@ -24,7 +24,7 @@ from imred.formula import (BOTTOM, And, Box, Diamond, Implies, Or, Var, _rebuild
 from imred.reduction import (family_formula, ground_formulas, positive_embed,
                              reduce_to_one_var, star)
 from imred.syntax import FormulaSyntaxError, parse_formula, print_formula
-from support import structurally_equal
+from support import code_three_pass, structurally_equal
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -128,6 +128,22 @@ def test_a_deep_chain_pickles_and_loads():
     for _ in range(100_000):
         phi = Diamond(phi)
     assert pickle.loads(pickle.dumps(phi)) is phi
+
+
+def test_code_matches_the_three_pass_reference():
+    deep = Var(1)
+    for _ in range(100_000):
+        deep = Diamond(deep)
+    inputs = _metadata_corpus(29)
+    corpus = [BOTTOM, Var(1), Var(7), deep, *inputs, *ground_formulas()]
+    corpus += [reduce_to_one_var(phi).output for phi in inputs[:8]]
+    corpus += [family_formula(letter, level, 1) for letter in "AB"
+               for level in range(5)]
+    for phi in corpus:
+        code = formula._code(phi)
+        assert code == code_three_pass(phi)
+        assert type(code[0]) is tuple and type(code[1]) is tuple
+        assert pickle.loads(pickle.dumps(phi)) is phi
 
 
 def test_mdepth_examples():

@@ -211,7 +211,9 @@ def list_frames(n_worlds, max_points):
     return tuple(search._Frame(
         n_worlds=n_worlds, n_points=n_points, up=up, delta=delta,
         spaces=tuple(pair_space(m, n_points) for m in delta),
-        pairs=tuple((w, x) for w in range(n_worlds) for x in bits_of(delta[w])))
+        pairs=tuple((w, x) for w in range(n_worlds) for x in bits_of(delta[w])),
+        world_names=tuple(f"w{w}" for w in range(n_worlds)),
+        point_names=tuple(f"x{x}" for x in range(n_points)))
         for _, up, delta, n_points in frames)
 
 
@@ -294,6 +296,17 @@ def test_certificates_are_sound_and_deterministic():
     assert (first.world, first.point) == (second.world, second.point)
     assert not eval_formula_plain(first.countermodel, first.world,
                                   first.point, phi)
+
+
+def test_certificates_on_one_frame_share_its_name_tuples():
+    budget = SearchBudget(max_worlds=2, max_points=2, var_bound=2)
+    models = [find_countermodel(parse_formula(text), budget).countermodel
+              for text in ("p1", "<>p1", "p1 | p2", "[]false -> p2")]
+    assert {(m.n_worlds, m.n_points) for m in models} == {(1, 1)}
+    assert models[0].world_names == ("w0",) and models[0].point_names == ("x0",)
+    for model in models[1:]:
+        assert model.world_names is models[0].world_names
+        assert model.point_names is models[0].point_names
 
 
 def test_budget_growth_never_flips_to_exhausted():

@@ -114,11 +114,13 @@ def test_eval_box_quantifies_up_and_sideways():
 
 def test_eval_rejects_missing_point():
     model = chain_model()
-    with pytest.raises(ValueError):
-        eval_formula(model, 0, 1, Var(1))  # point 1 lives only at world 1
-    for w in (-1, 2):
-        with pytest.raises(ValueError, match="out of range"):
-            eval_formula(model, w, 0, Var(1))
+    for evaluate in (eval_formula, eval_formula_plain):
+        for phi in (Var(1), BOTTOM, Var(5), Diamond(Var(1))):
+            with pytest.raises(ValueError):
+                evaluate(model, 0, 1, phi)  # point 1 lives only at world 1
+            for w in (-1, 2):
+                with pytest.raises(ValueError, match="out of range"):
+                    evaluate(model, w, 0, phi)
 
 
 def test_true_in_model():
@@ -223,6 +225,36 @@ def test_deep_box_nesting_evaluates_without_recursion():
     assert not eval_formula(model, 0, 0, deep)
     assert not eval_formula_plain(model, 0, 0, deep)
     assert not truth_table(model, deep)[deep] & 1
+
+
+def test_a_deep_diamond_chain_evaluates_without_recursion():
+    model = single_world(srel=[(0, 0)], val={1: {0: {0}}})
+    deep = Var(1)
+    for _ in range(100_000):
+        deep = Diamond(deep)
+    assert eval_formula_plain(model, 0, 0, deep) is True
+    assert truth_table(model, deep)[deep] & 1
+
+
+def test_plain_evaluator_reads_a_leaf_root():
+    model = single_world(val={1: {0: {0}}}, points=(0, 1))
+    assert model.nvars == 1
+    cases = {(Var(1), 0): True, (Var(1), 1): False, (BOTTOM, 0): False,
+             (Var(2), 0): False, (Var(9), 1): False}
+    for (phi, x), want in cases.items():
+        assert eval_formula_plain(model, 0, x, phi) is want
+
+
+def test_plain_evaluator_agrees_with_truth_table_at_every_subterm_and_pair():
+    rng = random.Random(29)
+    for seed in range(150):
+        model = seeded_model(seed, max_worlds=4, kind=(FS, MIPC)[seed % 2])
+        # p3 lies above the model's two variables
+        phi = random_formula(rng, max_depth=4, n_vars=3)
+        for node, mask in truth_table(model, phi).items():
+            for w, x in model.pairs():
+                want = (mask >> (w * model.n_points + x)) & 1 == 1
+                assert eval_formula_plain(model, w, x, node) is want, (seed, w, x)
 
 
 def reversed_world_ids(model):
