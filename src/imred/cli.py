@@ -48,6 +48,10 @@ def _budget(args: argparse.Namespace, var_bound: int) -> SearchBudget:
 
 def cmd_translate(args: argparse.Namespace, out) -> int:
     phi = syntax.parse_formula(args.formula)
+    if args.stage == "star" and not phi.positive:
+        print("error\tstage star needs a positive input formula",
+              file=sys.stderr)
+        return EXIT_ERROR
 
     def emit(key: str, value) -> None:
         print(f"{key}\t{value}", file=out)
@@ -56,10 +60,6 @@ def cmd_translate(args: argparse.Namespace, out) -> int:
     emit("input_length", length(phi))
     report = reduce_to_one_var(phi) if args.stage == "full" else None
     if args.stage == "star":
-        if not phi.positive:
-            print("error\tstage star needs a positive input formula",
-                  file=sys.stderr)
-            return EXIT_ERROR
         subst = star(phi)
     else:
         embedding = positive_embed(phi) if report is None else report.embedding

@@ -3,15 +3,15 @@
 Nodes are hash-consed: every constructor interns the node it returns, so
 structurally equal terms are the same Python object and repeated subterms
 share storage.  Each arity has its own interning constructor and each
-kind its own table, and no key is an object of its own that the cyclic
-collector tracks (see ``_tables``); every other map over nodes is keyed
-by the node, which hashes and compares by identity.  A node pickles as
-the flat children-first code of its DAG and unpickles re-interned, so a
-round trip within one generation gives the same object.  Per-node
-metrics (symbol length, modal depth, expanded tree size, variable set,
-positivity) are computed once at construction and stay O(1) to read
-even when the fully expanded tree would be far too large to
-materialise.  Equal variable sets are one
+kind its own table, and every intern key is a leaf index or a child node
+(see ``_tables``); every map over nodes is keyed by the node, which
+hashes and compares by identity.  A node pickles as the flat
+children-first code of its DAG and unpickles re-interned, so a round
+trip within one generation gives the same object.  Symbol length, modal
+depth, variable set and positivity are computed once at construction
+and stay O(1) to read even when the fully expanded tree would be far too
+large to materialise; the expanded tree size is one pass over the
+distinct subterms.  Equal variable sets are one
 shared frozenset, kept in a table that ``clear_caches`` empties, so a
 node costs its slots, not a set of its own.  Nodes form no cycles, so
 the DAG builders (``_gc_paused``) pause the cyclic garbage collector; a
@@ -47,7 +47,7 @@ class Formula:
     """
 
     __slots__ = ("kind", "var", "left", "right", "length", "mdepth",
-                 "tree_size", "vars", "positive")
+                 "vars", "positive")
 
     kind: str
     var: int
@@ -55,7 +55,6 @@ class Formula:
     right: "Formula | None"
     length: int
     mdepth: int
-    tree_size: int
     vars: frozenset[int]
     positive: bool
 
@@ -65,6 +64,10 @@ class Formula:
 
             return f"Formula({syntax.print_formula(self)!r})"
         return f"Formula(kind={self.kind!r}, length={self.length})"
+
+    @property
+    def tree_size(self) -> int:
+        return tree_size(self)
 
     def __copy__(self) -> "Formula":
         return self
@@ -77,12 +80,13 @@ class Formula:
 
 
 # One intern table per kind.  A leaf is keyed by its variable index, a
-# unary node by its child node and a binary node by the int
-# id(left) << 64 | id(right), so no key is an object of its own that the
-# cyclic collector tracks.  The packing is injective because ids are below
-# 2**64, and sound because the node stored under a key holds both
-# children, so neither id can be reused while the key is in the table.
+# unary node by its child and the first binary node over a left child by
+# that child; each later one goes into that child's dict in ``_more``,
+# keyed by its right child.  Every key is a leaf index or a held node, so
+# no key is an object of its own and soundness needs no argument about
+# ids.  ``setdefault`` at both levels makes racing threads agree.
 _tables: dict[str, dict] = {kind: {} for kind in (VAR, BOT, AND, OR, IMP, DIA, BOX)}
+_more: dict[str, dict] = {kind: {} for kind in (AND, OR, IMP)}
 _var_sets: dict[frozenset[int], frozenset[int]] = {}
 _cache_clearers: list = []
 
@@ -97,7 +101,6 @@ def _leaf(kind: str, var: int) -> Formula:
     n.var = var
     n.left = n.right = None
     n.mdepth = 0
-    n.tree_size = 1
     if kind == VAR:
         n.length = 1 + var.bit_length()
         n.vars = frozenset((var,))
@@ -122,7 +125,6 @@ def _unary(kind: str, child: Formula) -> Formula:
     n.right = None
     n.length = 1 + child.length
     n.mdepth = 1 + child.mdepth
-    n.tree_size = 1 + child.tree_size
     n.vars = child.vars
     n.positive = child.positive
     return table.setdefault(child, n)
@@ -130,10 +132,16 @@ def _unary(kind: str, child: Formula) -> Formula:
 
 def _binary(kind: str, left: Formula, right: Formula) -> Formula:
     table = _tables[kind]
-    key = id(left) << 64 | id(right)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
+    first = table.get(left)
+    more = None
+    if first is not None:
+        if first.right is right:
+            return first
+        more = _more[kind].get(left)
+        if more is not None:
+            hit = more.get(right)
+            if hit is not None:
+                return hit
     n = object.__new__(Formula)
     n.kind = kind
     n.var = 0
@@ -142,7 +150,6 @@ def _binary(kind: str, left: Formula, right: Formula) -> Formula:
     n.length = 1 + left.length + right.length
     ld, rd = left.mdepth, right.mdepth
     n.mdepth = ld if ld >= rd else rd
-    n.tree_size = 1 + left.tree_size + right.tree_size
     lv, rv = left.vars, right.vars
     if rv <= lv:
         n.vars = lv
@@ -152,7 +159,13 @@ def _binary(kind: str, left: Formula, right: Formula) -> Formula:
         union = lv | rv
         n.vars = _var_sets.setdefault(union, union)
     n.positive = left.positive and right.positive
-    return table.setdefault(key, n)
+    if first is None:
+        first = table.setdefault(left, n)
+        if first.right is right:
+            return first
+    if more is None:
+        more = _more[kind].setdefault(left, {})
+    return more.setdefault(right, n)
 
 
 def _check(phi: object) -> Formula:
@@ -206,8 +219,12 @@ def length(phi: Formula) -> int:
 
 
 def tree_size(phi: Formula) -> int:
-    """Node count of the fully expanded tree (may be astronomically large)."""
-    return _check(phi).tree_size
+    """Node count of the fully expanded tree (may be astronomically large),
+    summed in one pass over the distinct subterms, not read in O(1)."""
+    size: dict[Formula | None, int] = {None: 0}
+    for node in subformulas(phi):
+        size[node] = 1 + size[node.left] + size[node.right]
+    return size[phi]
 
 
 def is_positive(phi: Formula) -> bool:
@@ -384,7 +401,7 @@ def clear_caches() -> None:
     round-trip the old node through pickle, which re-interns it into the
     current one, or compare the printed texts.
     """
-    for table in _tables.values():
+    for table in (*_tables.values(), *_more.values()):
         table.clear()
     _var_sets.clear()
     _tables[BOT][0] = BOTTOM

@@ -55,9 +55,10 @@ from typing import Iterable, Iterator, NamedTuple
 from .formula import Formula, _Checked, register_cache_clearer, varset
 from .reduction import (OneVarSubstitution, PositiveEmbedding,
                         reduce_to_one_var)
-from .semantics import (FS, KINDS, MIPC, FiniteFSModel, _compile, _evaluate,
-                        _moves, bits_of, eval_formula_plain, monotone_masks,
-                        pair_space, supersets_asc, validate_model)
+from .semantics import (_MAX_VAL_VAR, FS, KINDS, MIPC, FiniteFSModel,
+                        _compile, _evaluate, _moves, bits_of,
+                        eval_formula_plain, monotone_masks, pair_space,
+                        supersets_asc, validate_model)
 
 # Candidates per pass over the formula DAG; masks are integers of any width.
 _LANES = 256
@@ -92,6 +93,9 @@ class SearchBudget(_Checked, _BudgetFields):
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        if self.var_bound > _MAX_VAL_VAR:
+            raise ValueError(f"var_bound must be at most {_MAX_VAL_VAR}, "
+                             f"the largest variable index of a model file")
         if self.time_cap_ms is not None and not self.time_cap_ms > 0:
             raise ValueError("caps must be positive when present")  # NaN too
 

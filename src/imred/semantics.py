@@ -40,6 +40,9 @@ from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, Formula, _code,
 FS = "fs"
 MIPC = "mipc"
 KINDS = (FS, MIPC)
+# A model keeps one valuation row per variable up to its largest index,
+# so model files and searches name variables up to this index only.
+_MAX_VAL_VAR = 10_000
 
 
 def bits_of(mask: int) -> Iterator[int]:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import semantics
 from .formula import (AND, BOT, BOX, DIA, IMP, OR, VAR, BOTTOM, Formula, Var,
                       _binary, _check, _Checked, _gc_paused, _unary)
-from .semantics import FiniteFSModel, Violation, bits_of
+from .semantics import _MAX_VAL_VAR, FiniteFSModel, Violation, bits_of
 
 
 class _SpanFields(NamedTuple):
@@ -231,9 +231,6 @@ def print_formula(phi: Formula) -> str:
 
 _NAME = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _VAL_VAR = re.compile(r"p([1-9][0-9]*)\Z")
-# A model keeps one valuation row per variable up to its largest index,
-# so a file may name variables up to this index only.
-_MAX_VAL_VAR = 10_000
 
 
 def _new_point(point_ids: dict[str, int], tok: str, line_no: int) -> int:

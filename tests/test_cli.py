@@ -63,6 +63,13 @@ def test_translate_star_stage_requires_positive():
     assert "output" in record(text)
 
 
+def test_translate_star_stage_error_leaves_stdout_empty(capsys):
+    # the input lines were once written before the positivity check
+    assert run(["translate", "--stage", "star", "p1 & false"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error\tstage star needs a positive input formula\n"
+
+
 _POSITIVE_KEYS = ["fresh_var", "diamond_guard", "box_guard",
                   "entailment_guard", "guard", "body", "positive_form",
                   "positive_length"]
@@ -291,6 +298,17 @@ def test_refute_output_is_a_parseable_certificate():
     assert code == 1
     model, w, x = parse_certificate(text)
     assert not eval_formula_plain(model, w, x, parse_formula("<>p1 -> []p1"))
+
+
+def test_a_certificate_at_the_variable_cap_parses_back():
+    from imred.syntax import parse_certificate, parse_formula
+    from imred.semantics import eval_formula_plain
+
+    code, text = run(["refute", "p10000 -> false"])
+    assert code == 1
+    model, w, x = parse_certificate(text)
+    assert model.nvars == 10_000
+    assert not eval_formula_plain(model, w, x, parse_formula("p10000 -> false"))
 
 
 def test_refute_mipc_flag():

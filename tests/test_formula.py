@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import math
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -62,6 +64,14 @@ def test_bool_indices_are_rejected_as_by_var():
         box_chain_le(False, P1)
 
 
+def interned_nodes():
+    """Every node the intern tables hold, the per-left dicts included."""
+    nodes = [node for table in formula._tables.values() for node in table.values()]
+    nodes += [node for more in formula._more.values()
+              for per_left in more.values() for node in per_left.values()]
+    return nodes
+
+
 def test_intern_keys_are_no_objects_the_collector_tracks():
     # the bench's translate ops, on smaller inputs
     rng = random.Random(7)
@@ -70,14 +80,92 @@ def test_intern_keys_are_no_objects_the_collector_tracks():
     clear_caches()
     for text in texts:
         star(positive_embed(parse_formula(text)).positive_form)
-    tables = formula._tables
-    nodes = {id(node) for table in tables.values() for node in table.values()}
-    keys = [key for table in tables.values() for key in table]
-    tracked = [key for key in keys if gc.is_tracked(key)]
-    # Only unary nodes have tracked keys: their children, which are nodes.
-    assert len(tracked) == len(tables["dia"]) + len(tables["box"]) > 0
-    assert all(id(key) in nodes for key in tracked)
-    assert len(keys) == len(nodes) > 1000
+    nodes = interned_nodes()
+    held = {id(node) for node in nodes}
+    assert len(held) == len(nodes) > 1000
+    # Every key is a leaf index or a node the tables hold: a leaf sits
+    # under its index, any other node under its left child, and a node in
+    # a per-left dict under its right child.
+    for kind, table in formula._tables.items():
+        for key, node in table.items():
+            assert node.kind == kind
+            if node.left is None:
+                assert type(key) is int and key == node.var
+            else:
+                assert key is node.left and id(key) in held
+    for kind, more in formula._more.items():
+        for left, per_left in more.items():
+            assert id(left) in held
+            for right, node in per_left.items():
+                assert (node.kind, node.left, node.right) == (kind, left, right)
+                assert id(right) in held
+    # one per-left dict per (kind, left child) with more than one parent
+    parents = collections.Counter((node.kind, id(node.left)) for node in nodes
+                                  if node.right is not None)
+    dicts = sum(len(more) for more in formula._more.values())
+    assert dicts == sum(count > 1 for count in parents.values()) > 0
+
+
+def test_racing_threads_intern_each_binary_node_once():
+    # Shared left children with many right children each, so that most
+    # nodes go into per-left dicts; each thread builds them in its own order.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    n_threads = cores + 3
+    for round_ in range(4):
+        clear_caches()
+        lefts = [Var(i) for i in range(1, 5)] + [Diamond(Var(1))]
+        rights = [Box(Var(i)) for i in range(1, 30)] + lefts
+        jobs = [(build, left, right) for build in (And, Or, Implies)
+                for left in lefts for right in rights]
+        results = [None] * n_threads
+        start = threading.Barrier(n_threads, timeout=60)
+
+        def work(slot):
+            order = list(range(len(jobs)))
+            random.Random(f"{round_}:{slot}").shuffle(order)
+            built = [None] * len(jobs)
+            start.wait()
+            for i in order:
+                build, left, right = jobs[i]
+                built[i] = build(left, right)
+            results[slot] = built
+
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = results[0]
+        assert all(all(a is b for a, b in zip(first, built)) for built in results)
+        for (build, left, right), node in zip(jobs, first):
+            assert node.left is left and node.right is right
+            assert build(left, right) is node
+        nodes = interned_nodes()
+        assert len({id(node) for node in nodes}) == len(nodes)
+        reached = {sub for node in [*first, BOTTOM] for sub in subformulas(node)}
+        # the binary nodes, p1..p29, []p1..[]p29, <>p1 and false, each once
+        assert len(nodes) == len(reached) == len(jobs) + 29 + 29 + 2
+
+
+def test_tree_size_of_deep_and_of_astronomically_large_dags():
+    chain = P1
+    for _ in range(10 ** 5):
+        chain = Diamond(chain)
+    assert chain.tree_size == formula.tree_size(chain) == 100_001
+    doubled = P1
+    for _ in range(100):
+        doubled = And(doubled, doubled)
+    started = time.perf_counter()
+    assert doubled.tree_size == 2 ** 101 - 1 > 10 ** 30
+    assert time.perf_counter() - started < 1
 
 
 def test_tables_hold_exactly_the_nodes_built():
@@ -91,7 +179,7 @@ def test_tables_hold_exactly_the_nodes_built():
     reached = set()
     for root in roots:
         reached.update(subformulas(root))
-    assert sum(len(table) for table in formula._tables.values()) == len(reached)
+    assert len(interned_nodes()) == len(reached)
 
 
 def test_nodes_of_an_old_generation_stay_usable_as_children():
@@ -526,6 +614,28 @@ def test_reference_counting_frees_every_node():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"  # BOTTOM
+
+
+def test_bytes_retained_per_interned_node():
+    # Translations of 1k-30k symbols from empty tables keep about 173 B per
+    # node (Python 3.11): the node, its table entry and its share of the
+    # per-left dicts, variable sets and derived caches.  Packed-id keys
+    # and a stored tree size kept about 221 B.
+    rng = random.Random(7)
+    texts = [print_formula(formula_with_length(rng, n))
+             for n in (1000, 3000, 10_000, 30_000)]
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for text in texts:
+            star(positive_embed(parse_formula(text)).positive_form)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nodes = len(interned_nodes())
+    assert nodes > 20_000
+    assert retained / nodes < 200
 
 
 def test_memory_peak_stays_flat_over_repeated_translations():

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 import pytest
 
-from imred import search
+from imred import search, syntax
 from imred.corpus import random_formula
 from imred.formula import (BOTTOM, Box, Implies, Or, Var, clear_caches,
                            substitute, varset)
@@ -55,6 +55,15 @@ def test_budget_validation():
 def test_budget_bounds_must_be_ints(bounds, cap):
     with pytest.raises(ValueError, match="must be an int >= "):
         SearchBudget(*bounds, max_candidates=cap)
+
+
+def test_budget_var_bound_shares_the_model_file_cap():
+    assert search._MAX_VAL_VAR is syntax._MAX_VAL_VAR == 10_000
+    assert SearchBudget(1, 1, 10_000).var_bound == 10_000
+    with pytest.raises(ValueError, match="var_bound must be at most 10000"):
+        SearchBudget(1, 1, 10_001)
+    with pytest.raises(ValueError, match="var_bound must be at most 10000"):
+        SearchBudget(1, 1, 1)._replace(var_bound=10 ** 20)
 
 
 def test_budget_time_cap_may_be_a_float():
@@ -251,6 +260,16 @@ def test_a_large_point_bound_refutes_at_its_first_candidate():
                         "--max-points", "3000", "--max-candidates", "10", "p1")
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == "kind fs\nworld w0\npoint w0 x0\nrefutes w0 x0\n"
+
+
+@pytest.mark.parametrize("text", ["p20000 -> false", "p99999999999999999999"])
+def test_refute_of_a_variable_above_the_cap_exits_2_with_one_line(text):
+    # p20000 once gave a certificate that parse_certificate rejects; a
+    # 20-digit index once ran out of memory building its valuations
+    proc = capped_child("-m", "imred.cli", "refute", text)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error\tvar_bound must be at most 10000, the "
+                           "largest variable index of a model file\n")
 
 
 def test_theorem_exhausts():
